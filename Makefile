@@ -1,4 +1,4 @@
-.PHONY: all build test cross-check cross-check-dpor check-parallel check-durable bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke fuzz-smoke serve-smoke serve-crash-smoke ci clean
+.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke fuzz-smoke serve-smoke serve-crash-smoke ci clean
 
 all: build
 
@@ -7,11 +7,6 @@ build:
 
 test:
 	dune runtest
-
-# Verdict cross-check: the whole suite must pass identically with the
-# exploration pruning kill switch set (fingerprint/sleep-set pruning off).
-cross-check:
-	CAL_EXPLORE_NO_PRUNE=1 dune runtest --force
 
 # Verdict cross-check along the reduction axis: the dedicated source-DPOR
 # suite re-verifies every Faulty.* and positive scenario against the
@@ -35,11 +30,6 @@ cross-check-dpor:
 # the two workers genuinely run (and steal) even on a one-core box.
 check-parallel:
 	CAL_EXPLORE_DOMAINS=2 CAL_EXPLORE_OVERSUBSCRIBE=1 CAL_VERDICT_CACHE=1 dune runtest --force
-
-# Durable suite alone, under the same kill switch (durable exploration is
-# always unpruned; the switch makes the comparison baseline explicit).
-check-durable:
-	CAL_EXPLORE_NO_PRUNE=1 dune exec test/test_durable.exe
 
 bench:
 	dune exec bench/main.exe -- quick
@@ -65,7 +55,7 @@ bench-parallel:
 	dune exec bench/main.exe -- parallel
 
 # Regenerate only BENCH_dpor.json (the B18 reduction figure) at full fuel:
-# source-DPOR vs the sleep-set-pruned DFS on the treiber/exchanger
+# source-DPOR vs the unreduced incremental DFS on the treiber/exchanger
 # scenarios (in-process asserts: >= 5x fewer runs, identical verdicts) and
 # the delay-bounded deepening level at which each Faulty.* bug is found
 # (asserted <= 2).
@@ -119,7 +109,7 @@ fuzz-smoke:
 serve-crash-smoke: build
 	bash scripts/serve_crash_smoke.sh
 
-ci: build test cross-check cross-check-dpor check-parallel fuzz-smoke serve-smoke serve-crash-smoke
+ci: build test cross-check-dpor check-parallel fuzz-smoke serve-smoke serve-crash-smoke
 
 # dune clean only touches _build; the committed BENCH_*.json figures in the
 # repo root are regenerated by bench targets, never deleted here.

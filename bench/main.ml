@@ -411,13 +411,12 @@ let figure_timeouts () =
   Fmt.pr "# rows written to BENCH_timeouts.json@."
 
 (* B12 — exploration engine cost: the same bounded state spaces explored by
-   the seed's whole-prefix-replay engine, the incremental engine, and the
-   incremental engine with fingerprint/sleep-set pruning, across a
-   fuel × preemption-bound grid. The headline column is steps-executed:
+   the seed's whole-prefix-replay engine and the incremental engine, across
+   a fuel × preemption-bound grid. The headline column is steps-executed:
    the replay engine re-runs the whole prefix at every DFS node
    (O(nodes × depth)); the incremental engine pays one step per tree edge
    plus a single prefix replay per backtrack (O(runs × depth)). Identical
-   run counts between the two unpruned engines are asserted here — the
+   run counts between the two engines are asserted here — the
    speedup must not change what is explored. Results land in
    BENCH_explore.json. *)
 let figure_explore () =
@@ -446,7 +445,6 @@ let figure_explore () =
                 in
                 let replay, replay_ms = cost `Replay in
                 let incr_, incr_ms = cost `Incremental in
-                let pruned, pruned_ms = cost `Pruned in
                 if replay.explored_runs <> incr_.explored_runs then
                   Fmt.failwith
                     "B12: engine mismatch on %s fuel=%d: replay %d runs vs \
@@ -460,7 +458,7 @@ let figure_explore () =
                     Fmt.pr "%-26s %5d %6s %-18s %8d %10d %10d %8.1f@." s.name
                       fuel bound_str c.engine c.explored_runs c.nodes
                       c.steps_executed ms)
-                  [ (replay, replay_ms); (incr_, incr_ms); (pruned, pruned_ms) ];
+                  [ (replay, replay_ms); (incr_, incr_ms) ];
                 Fmt.pr "%-26s %5d %6s %-18s %8s %10s %9.1fx@." s.name fuel
                   bound_str "(steps ratio)" "" ""
                   (float_of_int replay.steps_executed
@@ -468,7 +466,7 @@ let figure_explore () =
                 List.map
                   (fun ((c : Workloads.Metrics.explore_cost), ms) ->
                     (s.S.name, fuel, bound, c, ms))
-                  [ (replay, replay_ms); (incr_, incr_ms); (pruned, pruned_ms) ])
+                  [ (replay, replay_ms); (incr_, incr_ms) ])
               bounds)
           fuels)
       scenarios
@@ -487,22 +485,18 @@ let figure_explore () =
       in
       let replay = steps "replay" in
       Fmt.pr
-        "# %-26s fuel=%d: %5.1fx fewer steps incremental, %5.1fx with pruning@."
-        s.name max_fuel
-        (float_of_int replay /. float_of_int (max 1 (steps "incremental")))
-        (float_of_int replay /. float_of_int (max 1 (steps "incremental+prune"))))
+        "# %-26s fuel=%d: %5.1fx fewer steps incremental@." s.name max_fuel
+        (float_of_int replay /. float_of_int (max 1 (steps "incremental"))))
     scenarios;
   let oc = open_out "BENCH_explore.json" in
   let json_row (name, fuel, bound, (c : Workloads.Metrics.explore_cost), ms) =
     Printf.sprintf
       "    {\"scenario\": %S, \"fuel\": %d, \"preemption_bound\": %s, \
        \"engine\": %S, \"runs\": %d, \"nodes\": %d, \"steps_executed\": %d, \
-       \"replayed_steps\": %d, \"fingerprint_hits\": %d, \"sleep_pruned\": %d, \
-       \"wall_ms\": %.3f}"
+       \"replayed_steps\": %d, \"wall_ms\": %.3f}"
       name fuel
       (match bound with None -> "null" | Some b -> string_of_int b)
-      c.engine c.explored_runs c.nodes c.steps_executed c.replayed_steps
-      c.fingerprint_hits c.sleep_pruned ms
+      c.engine c.explored_runs c.nodes c.steps_executed c.replayed_steps ms
   in
   Printf.fprintf oc
     "{\n  \"bench\": \"explore_engines\",\n  \"rows\": [\n%s\n  ]\n}\n"
@@ -513,15 +507,15 @@ let figure_explore () =
 (* B18 — source-DPOR reduction and bounded iterative deepening. Two claims,
    asserted in-process so the benchmark doubles as a regression gate:
    - reduction: on the tracked-cell scenarios at full fuel, source-DPOR
-     delivers at least 5x fewer runs than B12's sleep-set pruner while the
-     black-box verdict is unchanged;
+     delivers at least 5x fewer runs than the unreduced incremental DFS
+     while the black-box verdict is unchanged;
    - bug-finding: delay-bounded iterative deepening finds every
      deliberately injected violation within bound <= 2.
    Results land in BENCH_dpor.json. *)
 let figure_dpor () =
   let fuel = if quick then 12 else 16 in
   let scenarios = [ S.treiber_push_pop (); S.exchanger_pair () ] in
-  Fmt.pr "@.# B18: source-DPOR reduction vs sleep-set pruning (fuel %d)@."
+  Fmt.pr "@.# B18: source-DPOR reduction vs the unreduced DFS (fuel %d)@."
     fuel;
   Fmt.pr "%-26s %-18s %8s %10s %8s %10s %8s@." "scenario" "engine" "runs"
     "nodes" "races" "backtracks" "ms";
@@ -533,21 +527,21 @@ let figure_dpor () =
   let reduction_rows =
     List.concat_map
       (fun (s : S.t) ->
-        let pruned, pruned_ms = cost ~s `Pruned in
+        let full, full_ms = cost ~s `Incremental in
         let dpor, dpor_ms = cost ~s `Dpor in
         List.iter
           (fun ((c : Workloads.Metrics.explore_cost), ms) ->
             Fmt.pr "%-26s %-18s %8d %10d %8d %10d %8.1f@." s.name c.engine
               c.explored_runs c.nodes c.races_found c.backtrack_points ms)
-          [ (pruned, pruned_ms); (dpor, dpor_ms) ];
+          [ (full, full_ms); (dpor, dpor_ms) ];
         Fmt.pr "%-26s %-18s %7.1fx fewer runs@." s.name "(reduction)"
-          (float_of_int pruned.explored_runs
+          (float_of_int full.explored_runs
           /. float_of_int (max 1 dpor.explored_runs));
-        if dpor.explored_runs * 5 > pruned.explored_runs then
+        if dpor.explored_runs * 5 > full.explored_runs then
           Fmt.failwith
-            "B18: source-DPOR on %s explored %d runs vs %d sleep-set-pruned \
-             — less than the required 5x reduction"
-            s.name dpor.explored_runs pruned.explored_runs;
+            "B18: source-DPOR on %s explored %d runs vs %d unreduced — less \
+             than the required 5x reduction"
+            s.name dpor.explored_runs full.explored_runs;
         (* the reduction must not change what is decided *)
         let verdict strategy =
           Verify.Obligations.ok
@@ -558,7 +552,7 @@ let figure_dpor () =
         if v_dfs <> v_dpor then
           Fmt.failwith "B18: DPOR changed the verdict on %s: dfs=%b dpor=%b"
             s.name v_dfs v_dpor;
-        [ (s.name, pruned, pruned_ms); (s.name, dpor, dpor_ms) ])
+        [ (s.name, full, full_ms); (s.name, dpor, dpor_ms) ])
       scenarios
   in
   Fmt.pr "@.# B18b: delay-bounded deepening on the injected bugs@.";

@@ -1,17 +1,11 @@
-(* One home for the search-side hash-table sizing heuristics. The memo
-   tables used by the explorer and the checkers were previously created
-   with magic literals (512/1024) regardless of the problem size; the
-   helpers here scale the initial size with the quantity that actually
+(* One home for the search-side hash-table sizing heuristics and the
+   numeric knobs read from the environment. The checkers' memo tables
+   were previously created with magic literals (512/1024) regardless of
+   the problem size; the helpers here scale the initial size with the quantity that actually
    drives the number of keys, clamped so tiny problems do not pay for
    8k-slot tables and huge ones do not start from a handful of buckets. *)
 
 let clamp ~lo ~hi v = max lo (min hi v)
-
-(* The explorer's fingerprint memo holds at most one entry per distinct
-   interior state of the schedule tree, which grows with both the depth
-   (fuel) and the branching (threads). *)
-let explore_memo_size ~fuel ~threads =
-  clamp ~lo:64 ~hi:8192 (max 1 fuel * max 1 threads * 8)
 
 (* The checkers' failed-state memos are keyed by (placed-set, spec-state):
    the placed-set component alone ranges over subsets of the operations,

@@ -1,15 +1,10 @@
-(** Sizing heuristics for the search-side hash tables, in one place.
+(** Sizing heuristics for the search-side hash tables and the numeric
+    knobs read from the environment, in one place.
 
-    Both the exploration engine ({!Conc.Explore}) and the checkers
-    ({!Cal_checker}, {!Lin_checker}, {!Interval_lin}) memoize failed
-    search states in hash tables. Their initial sizes are derived here
-    from the parameters that drive the key population — fuel × threads
-    for the schedule-tree fingerprint memo, the operation count for the
-    checker state memos — instead of per-call-site magic literals. *)
-
-val explore_memo_size : fuel:int -> threads:int -> int
-(** Initial size for the explorer's fingerprint memo: proportional to
-    [fuel × threads], clamped to [64, 8192]. *)
+    The checkers ({!Cal_checker}, {!Lin_checker}, {!Interval_lin})
+    memoize failed search states in hash tables whose initial sizes are
+    derived here from the operation count instead of per-call-site magic
+    literals. *)
 
 val checker_table_size : ops:int -> int
 (** Initial size for a checker's failed-state memo over [ops]

@@ -11,14 +11,20 @@
    since verdicts are deterministic functions of the key, and the first
    insert wins.
 
-   L1 — only when the cache is unbounded — is a per-domain
-   [Domain.DLS] hash table in front of L2. Parallel exploration delivers
-   the same canonical class from many domains; once a domain has seen a
-   verdict it re-reads it from its own L1 with no lock and no atomic,
-   taking the shard mutexes off the hot lookup path entirely. An L1 is
-   a plain duplicate of L2 entries, so it needs no invalidation; per-
-   domain hit counters are registered at first use and summed into
-   {!hits}. Bounded caches (the streaming service) skip L1: duplicated
+   L1 — only when the cache is unbounded — is a per-domain hash table in
+   front of L2. Parallel exploration delivers the same canonical class
+   from many domains; once a domain has seen a verdict it re-reads it
+   from its own L1 with no lock, taking the shard mutexes off the hot
+   lookup path entirely. The L1 tables hang off the cache itself, in an
+   immutable list of (domain id, table) pairs behind one atomic that a
+   domain extends (by compare-and-set) on its first lookup; a lookup is
+   one atomic read and a scan of that list, whose head is the most
+   recently joined domain. Dropping the cache drops its L1 tables with
+   it — unlike a [Domain.DLS] key per cache, whose slot OCaml never
+   frees, so every unbounded cache ever used would have kept its L1
+   alive for the domain's lifetime. An L1 is a plain duplicate of L2
+   entries, so it needs no invalidation; per-domain hit counters are
+   summed into {!hits}. Bounded caches (the streaming service) skip L1: duplicated
    entries would make the capacity accounting lie, and eviction could
    not reach the per-domain copies.
 
@@ -40,16 +46,18 @@ type shard = {
 (* One domain's private L1: owner-only access, so a mutable int hit
    counter suffices. Other domains read [l_hits] only through {!hits},
    which tolerates a stale value (callers read stats after joining). *)
-type local = { l_table : (string, verdict) Hashtbl.t; mutable l_hits : int }
+type local = {
+  l_domain : int;  (* the owning domain's id *)
+  l_table : (string, verdict) Hashtbl.t;
+  mutable l_hits : int;
+}
 
 type t = {
   shards : shard array;
   hits : int Atomic.t;       (* L2 hits *)
   misses : int Atomic.t;
   evictions : int Atomic.t;
-  l1 : local Domain.DLS.key option;  (* [None] when bounded *)
-  l1_registry : local list ref;      (* under [l1_lock] *)
-  l1_lock : Mutex.t;
+  l1 : local list Atomic.t option;  (* [None] when bounded *)
 }
 
 let create ?(shards = 16) ?capacity () =
@@ -67,19 +75,8 @@ let create ?(shards = 16) ?capacity () =
         let base = max 1 c / shards and extra = max 1 c mod shards in
         Some (base + if i < extra then 1 else 0)
   in
-  let l1_lock = Mutex.create () in
-  let l1_registry = ref [] in
   let l1 =
-    match capacity with
-    | Some _ -> None
-    | None ->
-        Some
-          (Domain.DLS.new_key (fun () ->
-               let l = { l_table = Hashtbl.create 64; l_hits = 0 } in
-               Mutex.lock l1_lock;
-               l1_registry := l :: !l1_registry;
-               Mutex.unlock l1_lock;
-               l))
+    match capacity with Some _ -> None | None -> Some (Atomic.make [])
   in
   {
     shards =
@@ -94,8 +91,6 @@ let create ?(shards = 16) ?capacity () =
     misses = Atomic.make 0;
     evictions = Atomic.make 0;
     l1;
-    l1_registry;
-    l1_lock;
   }
 
 let shard_of t key =
@@ -132,11 +127,28 @@ let find_shared t ~key compute =
       Mutex.unlock s.lock;
       v
 
+(* The calling domain's L1, registered on its first lookup. Only the
+   owner registers its own entry, so a failed compare-and-set just means
+   another domain joined meanwhile: retry against the longer list. *)
+let rec local_in self = function
+  | l :: rest -> if l.l_domain = self then l else local_in self rest
+  | [] -> raise Not_found
+
+let rec local_of tables =
+  let self = (Domain.self () :> int) in
+  let current = Atomic.get tables in
+  match local_in self current with
+  | l -> l
+  | exception Not_found ->
+      let l = { l_domain = self; l_table = Hashtbl.create 64; l_hits = 0 } in
+      if Atomic.compare_and_set tables current (l :: current) then l
+      else local_of tables
+
 let find_or_compute t ~key compute =
   match t.l1 with
   | None -> find_shared t ~key compute
-  | Some dls -> (
-      let l = Domain.DLS.get dls in
+  | Some tables -> (
+      let l = local_of tables in
       match Hashtbl.find_opt l.l_table key with
       | Some v ->
           l.l_hits <- l.l_hits + 1;
@@ -148,10 +160,9 @@ let find_or_compute t ~key compute =
 
 let hits t =
   let l1 =
-    Mutex.lock t.l1_lock;
-    let n = List.fold_left (fun n l -> n + l.l_hits) 0 !(t.l1_registry) in
-    Mutex.unlock t.l1_lock;
-    n
+    match t.l1 with
+    | None -> 0
+    | Some tables -> List.fold_left (fun n l -> n + l.l_hits) 0 (Atomic.get tables)
   in
   Atomic.get t.hits + l1
 

@@ -8,10 +8,11 @@
     domains of the parallel explorer ({!Conc.Par_explore}) share it
     safely with short, mostly uncontended critical sections. When the
     cache is unbounded (the exploration default), each domain
-    additionally keeps a private [Domain.DLS] front table duplicating
-    the verdicts it has already seen, so repeat lookups — the vast
-    majority under canonical-class collapse — take no lock and no atomic
-    at all; the per-domain hit counters are folded into {!hits}. Bounded
+    additionally keeps a private front table duplicating the verdicts it
+    has already seen, so repeat lookups — the vast majority under
+    canonical-class collapse — take no lock; the per-domain hit counters
+    are folded into {!hits}. The front tables belong to the cache, so a
+    dropped cache is collected whole. Bounded
     caches skip the front tables so {!size} and eviction stay exact.
 
     A cache instance is meant to live for one check invocation (one

@@ -8,8 +8,8 @@
     evaluation during frontier computation) record nothing, because
     {!Ctx.note_read} is a no-op there.
 
-    Labels of the step constructors keep the ["op@loc"] suffix convention so
-    the engine's older label heuristics still apply to them as a fallback. *)
+    Labels of the step constructors keep the ["op@loc"] suffix convention,
+    which {!Deps} falls back on for steps that record no footprint. *)
 
 type 'a t
 

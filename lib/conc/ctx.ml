@@ -1,6 +1,5 @@
 type t = {
   mutable history_rev : Cal.Action.t list;
-  mutable hist_len : int;
   mutable trace_rev : Cal.Ca_trace.element list;
   mutable trace_len : int;
   mutable clock : int;
@@ -29,7 +28,6 @@ let trace_loc = "!trace"
 let create () =
   {
     history_rev = [];
-    hist_len = 0;
     trace_rev = [];
     trace_len = 0;
     clock = 0;
@@ -76,10 +74,7 @@ let log_action t a =
       (* era boundary: nothing may commute across it *)
       note_write t hist_loc;
       note_write t trace_loc);
-  t.history_rev <- a :: t.history_rev;
-  t.hist_len <- t.hist_len + 1
-
-let history_length t = t.hist_len
+  t.history_rev <- a :: t.history_rev
 
 let record_crash t =
   t.crashes <- t.crashes + 1;

@@ -26,10 +26,6 @@ val trace : t -> Cal.Ca_trace.t
 
 val trace_length : t -> int
 
-val history_length : t -> int
-(** Number of actions logged so far (cheaper than materialising
-    {!history}; used by the exploration engine's state fingerprints). *)
-
 val record_crash : t -> unit
 (** Log a {!Cal.Action.Crash} marker (with the next epoch number) into the
     history and bump the crash counter. Called by {!Runner} when a

@@ -39,8 +39,9 @@ val source :
   unit ->
   Engine.stats
 (** Source-DPOR from the state reached by [prefix] (default the initial
-    state). [gate]/[abort] have {!Engine.dfs} semantics (shared run budget,
-    cross-task first-failure bound). Stats report [races_found],
+    state). [gate] is a shared run budget consulted before each delivery
+    (refusal truncates); [abort] is consulted before each node (refusal
+    abandons the search with partial stats). Stats report [races_found],
     [backtrack_points] and [sleep_pruned]; [bounded] is [false] — the
     reduction is verdict-complete. *)
 

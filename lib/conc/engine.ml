@@ -1,25 +1,6 @@
-(* The incremental DFS core shared by the sequential ({!Explore}) and
-   parallel ({!Par_explore}) exploration fronts.
-
-   One engine under every checker. The DFS keeps a single live execution
-   and descends by {!Runner.step} — O(1) per tree edge. Backtracking to a
-   sibling re-establishes the branch point with one prefix replay (the
-   shared heap the program mutates cannot be checkpointed, so it is
-   rebuilt by re-execution): the total work is O(runs × depth) program
-   steps, against O(nodes × depth) for the seed's whole-prefix-replay
-   engine. Per-path checker state (the liveness idle counters) is threaded
-   through [step_path]/[leaf] as immutable values cloned on branch.
-
-   For the parallel front the DFS is rooted at an arbitrary schedule
-   prefix: the subtree task carries the [prefix] decisions together with
-   the scheduling state accumulated along it — the last-scheduled thread
-   ([last0]), the preemption count ([preemptions0]) and the sleep set
-   ([sleep0]) — so a task explores exactly the subtree the sequential
-   engine would have explored below that node. Two cross-domain hooks
-   replace the local [max_runs] accounting there: [gate] is consulted
-   before every delivery (a shared atomic run budget; refusal truncates),
-   and [abort] before every node (the best-failure bound of the
-   deterministic first-failure merge; refusal abandons the task). *)
+(* Exploration statistics shared by every engine (the DFS of
+   {!Par_explore}, {!Dpor}, the {!Sampler}), the control exceptions the
+   engines use to cut a search, and the environment-flag reader. *)
 
 type stats = {
   runs : int;
@@ -27,7 +8,6 @@ type stats = {
   max_steps : int;
   nodes : int;
   replayed_steps : int;
-  fingerprint_hits : int;
   sleep_pruned : int;
   races_found : int;
   backtrack_points : int;
@@ -50,7 +30,6 @@ let empty_stats =
     max_steps = 0;
     nodes = 0;
     replayed_steps = 0;
-    fingerprint_hits = 0;
     sleep_pruned = 0;
     races_found = 0;
     backtrack_points = 0;
@@ -73,7 +52,6 @@ let merge_stats a b =
     max_steps = max a.max_steps b.max_steps;
     nodes = a.nodes + b.nodes;
     replayed_steps = a.replayed_steps + b.replayed_steps;
-    fingerprint_hits = a.fingerprint_hits + b.fingerprint_hits;
     sleep_pruned = a.sleep_pruned + b.sleep_pruned;
     races_found = a.races_found + b.races_found;
     backtrack_points = a.backtrack_points + b.backtrack_points;
@@ -92,175 +70,9 @@ let merge_stats a b =
 exception Stop
 exception Abandoned
 
-(* ------------------------------------------------- pruning controls --- *)
+(* -------------------------------------------------------- environment -- *)
 
 let env_flag v =
   match Sys.getenv_opt v with
   | Some ("1" | "true" | "yes" | "on") -> true
   | _ -> false
-
-(* Pruning is an opt-in underapproximation of the run {e set} (it must
-   preserve verdicts, not run counts), so the default is off; callers opt
-   in per call ([~prune:true]) or globally (CAL_EXPLORE_PRUNE=1). The
-   cross-check mode CAL_EXPLORE_NO_PRUNE=1 force-disables pruning even for
-   explicit opt-ins: a pruned and an unpruned pass must reach identical
-   verdicts. *)
-let pruning_requested prune =
-  if env_flag "CAL_EXPLORE_NO_PRUNE" then false
-  else match prune with Some p -> p | None -> env_flag "CAL_EXPLORE_PRUNE"
-
-(* Commutation heuristic for sleep sets, from the step labels: two steps
-   commute when they touch distinct contended locations (the "…@loc" label
-   convention of the structures) or when either is a pure yield. Steps
-   without a location tag are conservatively treated as dependent. *)
-let loc_of label =
-  match String.index_opt label '@' with
-  | Some i -> Some (String.sub label i (String.length label - i))
-  | None -> None
-
-let commutes l1 l2 =
-  l1 = "yield" || l2 = "yield"
-  ||
-  match (loc_of l1, loc_of l2) with Some a, Some b -> a <> b | _ -> false
-
-let independent ((d1 : Runner.decision), l1) ((d2 : Runner.decision), l2) =
-  d1.thread <> d2.thread && commutes l1 l2
-
-let threads_of exec = Array.length (Runner.outcome exec).Runner.results
-
-(* --------------------------------------------- incremental DFS engine -- *)
-
-(* With [prune] set, two reductions apply, both counted in the stats:
-   - fingerprint memoization: a node whose {!Runner.fingerprint} was
-     already visited is cut off (its subtree was explored from the
-     equivalent state);
-   - sleep sets: after exploring sibling [d1], the decision [d1] is put to
-     sleep inside the later siblings' subtrees and skipped there until a
-     dependent (non-commuting) step wakes it — the classic partial-order
-     argument that exploring [d1;d2] and [d2;d1] twice is redundant when
-     the two steps commute. *)
-let dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ?(prefix = [])
-    ?last0 ?(preemptions0 = 0) ?(sleep0 = []) ?gate ?abort ~init_path
-    ~step_path ~leaf () =
-  let exec = ref (restart ()) in
-  let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
-  let nodes = ref 0 and replayed = ref 0 in
-  let fp_hits = ref 0 and slept = ref 0 in
-  let memo : (string, unit) Hashtbl.t =
-    if prune then
-      Hashtbl.create
-        (Cal.Tuning.explore_memo_size ~fuel ~threads:(threads_of !exec))
-    else Hashtbl.create 1
-  in
-  let within_budget used =
-    match preemption_bound with None -> true | Some b -> used <= b
-  in
-  let deliver frontier path =
-    (match gate with
-    | Some admit when not (admit ()) ->
-        truncated := true;
-        raise Stop
-    | _ -> ());
-    let o = Runner.outcome !exec in
-    leaf o frontier path;
-    incr runs;
-    if o.Runner.steps > !max_steps then max_steps := o.Runner.steps;
-    match max_runs with
-    | Some m when !runs >= m ->
-        truncated := true;
-        raise Stop
-    | _ -> ()
-  in
-  (* Position the execution at the node reached by [prefix_rev]: free while
-     descending along the spine; one fresh prefix replay after returning
-     from an earlier sibling's subtree. *)
-  let ensure_at depth prefix_rev =
-    if Runner.steps_done !exec <> depth then begin
-      let e = restart () in
-      List.iter (fun d -> ignore (Runner.step e d)) (List.rev prefix_rev);
-      replayed := !replayed + depth;
-      exec := e
-    end
-  in
-  let rec node ~prefix_rev ~depth ~last ~preemptions ~sleep ~path =
-    (match abort with Some stop when stop () -> raise Abandoned | _ -> ());
-    incr nodes;
-    let frontier = Runner.frontier !exec in
-    if frontier = [] || depth >= fuel then deliver frontier path
-    else begin
-      let pruned_here =
-        prune
-        &&
-        let fp = Runner.fingerprint !exec in
-        if Hashtbl.mem memo fp then true
-        else begin
-          Hashtbl.add memo fp ();
-          false
-        end
-      in
-      if pruned_here then incr fp_hits
-      else begin
-        let labelled =
-          List.map
-            (fun (d : Runner.decision) ->
-              (d, Option.value ~default:"" (Runner.head_label !exec d.thread)))
-            frontier
-        in
-        let last_enabled =
-          List.exists (fun (d : Runner.decision) -> Some d.thread = last) frontier
-        in
-        let explored = ref [] in
-        List.iter
-          (fun ((d : Runner.decision), l) ->
-            let cost =
-              if last_enabled && Some d.thread <> last then preemptions + 1
-              else preemptions
-            in
-            if within_budget cost then begin
-              if
-                prune
-                && List.exists
-                     (fun ((s : Runner.decision), _) ->
-                       s.thread = d.thread && s.branch = d.branch)
-                     sleep
-              then incr slept
-              else begin
-                ensure_at depth prefix_rev;
-                let path' = step_path path frontier d in
-                ignore (Runner.step !exec d);
-                let sleep' =
-                  if prune then
-                    List.filter
-                      (fun s -> independent s (d, l))
-                      (sleep @ List.rev !explored)
-                  else []
-                in
-                node ~prefix_rev:(d :: prefix_rev) ~depth:(depth + 1)
-                  ~last:(Some d.thread) ~preemptions:cost ~sleep:sleep'
-                  ~path:path';
-                explored := (d, l) :: !explored
-              end
-            end)
-          labelled
-      end
-    end
-  in
-  let depth0 = List.length prefix in
-  if depth0 > 0 then begin
-    List.iter (fun d -> ignore (Runner.step !exec d)) prefix;
-    replayed := !replayed + depth0
-  end;
-  (try
-     node ~prefix_rev:(List.rev prefix) ~depth:depth0 ~last:last0
-       ~preemptions:preemptions0 ~sleep:sleep0 ~path:init_path
-   with Stop | Abandoned -> ());
-  {
-    empty_stats with
-    runs = !runs;
-    truncated = !truncated;
-    max_steps = !max_steps;
-    nodes = !nodes;
-    replayed_steps = !replayed;
-    fingerprint_hits = !fp_hits;
-    sleep_pruned = !slept;
-  }

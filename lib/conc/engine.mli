@@ -1,16 +1,7 @@
-(** The incremental DFS core shared by {!Explore} (sequential front) and
-    {!Par_explore} (work-stealing parallel front).
-
-    Most callers want {!Explore}; this module is the engine room. The DFS
-    keeps one live execution and descends the schedule tree one
-    {!Runner.step} per edge, re-establishing a branch point after
-    backtracking with a single prefix replay. It can be rooted at an
-    arbitrary schedule [prefix] with the scheduling state accumulated
-    along it ([last0], [preemptions0], [sleep0]), so a rooted DFS
-    explores exactly the subtree the sequential engine would have.
-    {!Par_explore} runs its own explicit-stack variant of the same
-    traversal (it needs the open frames for work donation) but shares
-    this module's stats, pruning controls and commutation heuristic. *)
+(** Exploration statistics shared by every engine — the schedule-tree
+    DFS of {!Par_explore}, source-DPOR and the bounded strategies of
+    {!Dpor}, the {!Sampler} — together with the exceptions the engines use
+    to cut a search. Most callers want {!Explore}. *)
 
 type stats = {
   runs : int;           (** terminal outcomes delivered to the callback *)
@@ -21,11 +12,11 @@ type stats = {
       (** program steps re-executed to re-establish branch points after
           backtracking, including task-prefix replays of the parallel
           front *)
-  fingerprint_hits : int;  (** subtrees cut off by fingerprint memoization *)
-  sleep_pruned : int;      (** sibling decisions skipped by sleep sets *)
+  sleep_pruned : int;
+      (** sibling decisions skipped by the DPOR engine's sleep sets *)
   races_found : int;
       (** direct races detected by the vector-clock analysis of the DPOR
-          engine ({!Dpor}); [0] for the label-heuristic engines *)
+          engine ({!Dpor}); [0] for the full DFS *)
   backtrack_points : int;
       (** threads added to node backtrack sets by race reversal (source
           sets); [0] for the engines that expand every enabled decision *)
@@ -70,41 +61,9 @@ exception Stop
 (** Raised internally to cut the search (budget, counterexample). *)
 
 exception Abandoned
-(** Raised when [abort] asks the current task to stop; the DFS returns
+(** Raised when [abort] asks the current task to stop; the engine returns
     its partial stats. *)
 
 val env_flag : string -> bool
-val pruning_requested : bool option -> bool
-(** Resolve a [?prune] argument against [CAL_EXPLORE_PRUNE] /
-    [CAL_EXPLORE_NO_PRUNE] (see {!Explore}). *)
-
-val independent :
-  Runner.decision * string -> Runner.decision * string -> bool
-(** Sleep-set commutation heuristic on labelled decisions. *)
-
-val threads_of : Runner.exec -> int
-(** Thread count of the program under execution (sizes the memo table). *)
-
-val dfs :
-  restart:(unit -> Runner.exec) ->
-  fuel:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  prune:bool ->
-  ?prefix:Runner.decision list ->
-  ?last0:int ->
-  ?preemptions0:int ->
-  ?sleep0:(Runner.decision * string) list ->
-  ?gate:(unit -> bool) ->
-  ?abort:(unit -> bool) ->
-  init_path:'path ->
-  step_path:('path -> Runner.decision list -> Runner.decision -> 'path) ->
-  leaf:(Runner.outcome -> Runner.decision list -> 'path -> unit) ->
-  unit ->
-  stats
-(** Explore the subtree rooted at [prefix] (default: the whole tree).
-    [fuel] counts absolute schedule depth, prefix included. [gate]
-    (parallel run budget) is consulted before each delivery — refusal
-    truncates; [abort] (best-failure bound) before each node — refusal
-    abandons with partial stats. [max_runs] is the sequential local
-    budget; the parallel front passes [gate] instead. *)
+(** [env_flag v] is [true] iff the environment variable [v] is set to
+    [1]/[true]/[yes]/[on]. *)

@@ -4,7 +4,6 @@ type stats = Engine.stats = {
   max_steps : int;
   nodes : int;
   replayed_steps : int;
-  fingerprint_hits : int;
   sleep_pruned : int;
   races_found : int;
   backtrack_points : int;
@@ -25,73 +24,52 @@ let merge_stats = Engine.merge_stats
 
 exception Stop = Engine.Stop
 
-let pruning_requested = Engine.pruning_requested
 let env_flag = Engine.env_flag
 
-(* --------------------------------------------------- exploration fronts --
-   The incremental DFS engine lives in {!Engine}; the work-stealing
-   parallel front in {!Par_explore}. Every entry point below dispatches on
-   [domains]: [1] (the default) is byte-for-byte the sequential engine,
-   [>= 2] explores with that many worker domains splitting the schedule
-   tree dynamically as workers go idle. Callbacks of the parallel paths
-   run concurrently from several domains and must be thread-safe; the
-   [_collect] variants side-step that by giving every task its own
-   accumulator, merged in canonical rank order after the join. *)
+(* --------------------------------------------------- exhaustive sweeps --
+   Every exhaustive entry point below runs the one schedule-tree DFS of
+   {!Par_explore}: [domains = 1] (the default) runs its single worker on
+   the calling domain, [>= 2] explores with that many worker domains
+   splitting the schedule tree dynamically as workers go idle. Callbacks
+   of the parallel paths run concurrently from several domains and must be
+   thread-safe; the [_collect] variants side-step that by giving every
+   task its own accumulator, merged in canonical rank order after the
+   join. *)
 
-let sequential_dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ~f () =
-  Engine.dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ~init_path:()
+(* The DFS without per-path state. *)
+let sweep ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init ~f ?stop_on
+    () =
+  Par_explore.explore ~domains ?max_runs ?preemption_bound ~restart ~fuel
+    ~init_path:()
     ~step_path:(fun () _ _ -> ())
-    ~leaf:(fun o _ () -> f o)
-    ()
+    ~init
+    ~f:(fun acc o _ () -> f acc o)
+    ?stop_on ()
 
-let exhaustive ?(plan = []) ?prune ?(domains = 1) ~setup ~fuel ?max_runs
-    ?preemption_bound ~f () =
-  let prune = pruning_requested prune in
-  let restart () = Runner.start ~plan ~setup () in
-  if domains <= 1 then
-    sequential_dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune ~f ()
-  else
-    fst
-      (Par_explore.explore ~prune ~domains ?max_runs ?preemption_bound
-         ~restart ~fuel
-         ~init:(fun () -> ())
-         ~f:(fun () o -> f o)
-         ())
+let exhaustive_collect ?(plan = []) ?(domains = 1) ~setup ~fuel ?max_runs
+    ?preemption_bound ~init ~f () =
+  sweep ~domains ?max_runs ?preemption_bound
+    ~restart:(fun () -> Runner.start ~plan ~setup ())
+    ~fuel ~init ~f ()
 
-let exhaustive_collect ?(plan = []) ?prune ?(domains = 1) ~setup ~fuel
-    ?max_runs ?preemption_bound ~init ~f () =
-  let prune = pruning_requested prune in
-  let restart () = Runner.start ~plan ~setup () in
-  if domains <= 1 then begin
-    let acc = init () in
-    let stats =
-      sequential_dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune
-        ~f:(fun o -> f acc o)
-        ()
-    in
-    (stats, [| acc |])
-  end
-  else
-    Par_explore.explore ~prune ~domains ?max_runs ?preemption_bound ~restart
-      ~fuel ~init ~f ()
+let exhaustive ?plan ?domains ~setup ~fuel ?max_runs ?preemption_bound ~f () =
+  fst
+    (exhaustive_collect ?plan ?domains ~setup ~fuel ?max_runs ?preemption_bound
+       ~init:(fun () -> ())
+       ~f:(fun () o -> f o)
+       ())
 
 (* Exhaustive exploration of one durable program under one (possibly
-   crashing) plan. Always unpruned: persistent-cell contents are not part
-   of the state fingerprint, so memoization across crash plans would be
-   unsound. *)
+   crashing) plan. *)
 let exhaustive_durable ~plan ?(domains = 1) ~setup ~fuel ?max_runs
     ?preemption_bound ~f () =
-  let restart () = Runner.start_durable ~plan ~setup () in
-  if domains <= 1 then
-    sequential_dfs ~restart ~fuel ?max_runs ?preemption_bound ~prune:false ~f
-      ()
-  else
-    fst
-      (Par_explore.explore ~prune:false ~domains ?max_runs ?preemption_bound
-         ~restart ~fuel
-         ~init:(fun () -> ())
-         ~f:(fun () o -> f o)
-         ())
+  fst
+    (sweep ~domains ?max_runs ?preemption_bound
+       ~restart:(fun () -> Runner.start_durable ~plan ~setup ())
+       ~fuel
+       ~init:(fun () -> ())
+       ~f:(fun () o -> f o)
+       ())
 
 (* The seed's stateless engine — a whole-prefix replay at every DFS node —
    kept as the reference implementation for cross-checks and the B12
@@ -154,42 +132,25 @@ let random ~setup ~fuel ~runs ~seed ~f () =
   done;
   { empty_stats with runs; max_steps = !max_steps }
 
-let check_all ?plan ?prune ?(domains = 1) ~setup ~fuel ?max_runs
+(* A first-failure search: with several workers, the lowest-ranked task
+   whose accumulator caught a failure holds the sequential witness. *)
+let check_all ?(plan = []) ?(domains = 1) ~setup ~fuel ?max_runs
     ?preemption_bound ~p () =
-  if domains <= 1 then begin
-    let bad = ref None in
-    let wrapped outcome =
-      if !bad = None && not (p outcome) then begin
-        bad := Some outcome;
-        raise Stop
-      end
-    in
-    let stats =
-      exhaustive ?plan ?prune ~setup ~fuel ?max_runs ?preemption_bound
-        ~f:wrapped ()
-    in
-    (* [truncated] means the budget capped the search, nothing else: a
-       counterexample stop is reported by the [Error] constructor alone, so
-       callers can tell an exhausted-but-failing search from a capped one. *)
-    match !bad with None -> Ok stats | Some o -> Error (o, stats)
-  end
-  else begin
-    let plan = Option.value plan ~default:[] in
-    let prune = pruning_requested prune in
-    let restart () = Runner.start ~plan ~setup () in
-    let stats, accs =
-      Par_explore.explore ~prune ~domains ?max_runs ?preemption_bound ~restart
-        ~fuel
-        ~init:(fun () -> ref None)
-        ~f:(fun acc o -> if !acc = None && not (p o) then acc := Some o)
-        ~stop_on:(fun acc _ -> !acc <> None)
-        ()
-    in
-    (* first failing task in canonical order holds the sequential witness *)
-    match Array.to_list accs |> List.find_map (fun acc -> !acc) with
-    | None -> Ok stats
-    | Some o -> Error (o, stats)
-  end
+  let stats, accs =
+    sweep ~domains ?max_runs ?preemption_bound
+      ~restart:(fun () -> Runner.start ~plan ~setup ())
+      ~fuel
+      ~init:(fun () -> ref None)
+      ~f:(fun acc o -> if !acc = None && not (p o) then acc := Some o)
+      ~stop_on:(fun acc _ -> !acc <> None)
+      ()
+  in
+  (* [truncated] means the budget capped the search, nothing else: a
+     counterexample stop is reported by the [Error] constructor alone, so
+     callers can tell an exhausted-but-failing search from a capped one. *)
+  match Array.to_list accs |> List.find_map (fun acc -> !acc) with
+  | None -> Ok stats
+  | Some o -> Error (o, stats)
 
 (* Iterative context bounding doubles as counterexample minimisation: the
    first bound at which a violation appears is the bug's preemption depth,
@@ -358,35 +319,6 @@ let races_of_durable ?(plan = []) ~setup schedule =
 
 (* ------------------------------------------------- fault exploration -- *)
 
-type fault_stats = {
-  plans : int;
-  fault_runs : int;
-  fault_truncated : bool;
-  fault_max_steps : int;
-  fault_nodes : int;
-  fault_replayed_steps : int;
-  fault_fingerprint_hits : int;
-  fault_sleep_pruned : int;
-  fault_tasks_stolen : int;
-  fault_domains_used : int;
-  fault_domains_requested : int;
-}
-
-let fault_stats_of ~plans (s : stats) =
-  {
-    plans;
-    fault_runs = s.runs;
-    fault_truncated = s.truncated;
-    fault_max_steps = s.max_steps;
-    fault_nodes = s.nodes;
-    fault_replayed_steps = s.replayed_steps;
-    fault_fingerprint_hits = s.fingerprint_hits;
-    fault_sleep_pruned = s.sleep_pruned;
-    fault_tasks_stolen = s.tasks_stolen;
-    fault_domains_used = s.domains_used;
-    fault_domains_requested = s.domains_requested;
-  }
-
 (* Candidate fault points of a bounded program, learned from the fault-free
    exhaustive pass: every (thread, step) pair some schedule reaches is a
    crash (and stall) point, and every fallible label occurrence some
@@ -507,13 +439,13 @@ let cap_plans max_plans seq =
    fault-free pass stays sequential: a parallel race on the shared run
    budget could truncate a different run subset and learn different fault
    candidates. *)
-let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1) ~setup
-    ~fuel ?max_runs ?preemption_bound ?max_plans ~fault_bound ~init ~f () =
+let exhaustive_with_faults_collect ?delay_factors ?(domains = 1) ~setup ~fuel
+    ?max_runs ?preemption_bound ?max_plans ~fault_bound ~init ~f () =
   if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
   let free_domains = if max_runs = None then domains else 1 in
   let learner = candidate_learner ?delay_factors () in
   let free_stats, free_accs =
-    exhaustive_collect ?prune ~domains:free_domains ~setup ~fuel ?max_runs
+    exhaustive_collect ~domains:free_domains ~setup ~fuel ?max_runs
       ?preemption_bound
       ~init:(fun () -> (init (), candidate_learner ?delay_factors ()))
       ~f:(fun (acc, l) o ->
@@ -531,18 +463,11 @@ let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1) ~setup
   in
   let plans = Array.of_list (List.of_seq plan_seq) in
   let run_plan _idx plan =
-    let acc = init () in
-    let stats =
-      Engine.dfs
-        ~restart:(fun () -> Runner.start ~plan ~setup ())
-        ~fuel ?max_runs ?preemption_bound
-        ~prune:(pruning_requested prune)
-        ~init_path:()
-        ~step_path:(fun () _ _ -> ())
-        ~leaf:(fun o _ () -> f acc o)
-        ()
+    let stats, accs =
+      exhaustive_collect ~plan ~domains:1 ~setup ~fuel ?max_runs
+        ?preemption_bound ~init ~f ()
     in
-    (stats, acc)
+    (stats, accs.(0))
   in
   let plan_results, stolen =
     if domains <= 1 then
@@ -576,16 +501,18 @@ let exhaustive_with_faults_collect ?delay_factors ?prune ?(domains = 1) ~setup
       (Array.map fst free_accs)
       (Array.map snd plan_results)
   in
-  (fault_stats_of ~plans:(1 + Array.length plans) merged, accs)
+  (1 + Array.length plans, merged, accs)
 
-let exhaustive_with_faults ?delay_factors ?prune ?domains ~setup ~fuel
-    ?max_runs ?preemption_bound ?max_plans ~fault_bound ~f () =
-  fst
-    (exhaustive_with_faults_collect ?delay_factors ?prune ?domains ~setup
-       ~fuel ?max_runs ?preemption_bound ?max_plans ~fault_bound
-       ~init:(fun () -> ())
-       ~f:(fun () o -> f o)
-       ())
+let exhaustive_with_faults ?delay_factors ?domains ~setup ~fuel ?max_runs
+    ?preemption_bound ?max_plans ~fault_bound ~f () =
+  let plans, stats, _ =
+    exhaustive_with_faults_collect ?delay_factors ?domains ~setup ~fuel
+      ?max_runs ?preemption_bound ?max_plans ~fault_bound
+      ~init:(fun () -> ())
+      ~f:(fun () o -> f o)
+      ()
+  in
+  (plans, stats)
 
 (* ------------------------------------------------- crash exploration -- *)
 
@@ -656,8 +583,7 @@ let exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
            crash_sweep fp ~last_at:(-1) ~horizon ~depth:1)
          (plans_up_to ~bound:fault_bound (learner.candidates ()))
    with Budget -> ());
-  fault_stats_of ~plans:!nplans
-    { !acc with truncated = !acc.truncated || !capped }
+  (!nplans, { !acc with truncated = !acc.truncated || !capped })
 
 (* ------------------------------------------------- liveness watchdog -- *)
 
@@ -730,25 +656,22 @@ type liveness_stats = {
   live_truncated : bool;
 }
 
-(* The incremental DFS with the watchdog's idle counters as the per-path
-   state: every maximal run is classified in the single pass that explores
-   it. [on_outcome] additionally observes every delivered outcome (the
-   fault sweep hooks the candidate learner in here). Pruning is disabled:
-   the idle counters are path state the fingerprints do not cover.
+(* The DFS with the watchdog's idle counters as the per-path state: every
+   maximal run is classified in the single pass that explores it.
+   [on_outcome] additionally observes every delivered outcome (the fault
+   sweep hooks the candidate learner in here).
 
-   Deliberately sequential: the idle counters are per-path state threaded
-   through the DFS spine, so a subtree task would need the exact counter
-   state of its prefix — cheap to reconstruct, but the witness cap (first
-   10 livelocks in canonical order) and the fairness classification are
-   verdict-relevant order-dependent state; keeping the watchdog on the
-   sequential engine preserves its behaviour exactly (DESIGN §2.11). *)
+   Run on one domain: the counters ride in the DFS frames, so a donated
+   subtree would carry its exact counter state, but the witness cap (first
+   10 livelocks in canonical order) is order-dependent state kept simple
+   by a single accumulator (DESIGN §2.11). *)
 let liveness_core ?(plan = []) ~setup ~fuel ~window ?max_runs ?preemption_bound
     ?(on_outcome = fun _ -> ()) () =
   if window < 1 then invalid_arg "Explore.liveness: window must be >= 1";
   let completed = ref 0 and deadlocked = ref 0 in
   let starved = ref 0 and livelocked = ref 0 in
   let witnesses = ref [] in
-  let leaf (o : Runner.outcome) frontier (_, starving) =
+  let leaf () (o : Runner.outcome) frontier (_, starving) =
     on_outcome o;
     if o.Runner.complete then incr completed
     else if frontier = [] then incr deadlocked
@@ -762,11 +685,12 @@ let liveness_core ?(plan = []) ~setup ~fuel ~window ?max_runs ?preemption_bound
   let step_path (idle, starving) frontier (d : Runner.decision) =
     bump_idle ~window idle (enabled_threads frontier) d.thread starving
   in
-  let stats =
-    Engine.dfs
+  let stats, _ =
+    Par_explore.explore ~domains:1 ?max_runs ?preemption_bound
       ~restart:(fun () -> Runner.start ~plan ~setup ())
-      ~fuel ?max_runs ?preemption_bound ~prune:false ~init_path:([], [])
-      ~step_path ~leaf ()
+      ~fuel ~init_path:([], []) ~step_path
+      ~init:(fun () -> ())
+      ~f:leaf ()
   in
   {
     live_runs = stats.runs;

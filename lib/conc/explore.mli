@@ -6,25 +6,16 @@
     Randomised exploration samples schedules for larger programs and for
     benchmarking.
 
-    The exhaustive engine is {e incremental} ({!Engine}): it keeps one
-    live execution ({!Runner.start}/{!Runner.step}) and descends the
-    schedule tree one step per edge, re-establishing a branch point after
-    backtracking with a single prefix replay — O(runs × depth) program
-    steps in total, against O(nodes × depth) for a whole-prefix replay at
-    every node (the seed engine, kept as {!exhaustive_via_replay} for
-    cross-checks and benchmarks).
-
-    Two optional sound-for-verdicts reductions prune the tree when [prune]
-    is set (or the environment variable [CAL_EXPLORE_PRUNE=1] is):
-    state-fingerprint memoization ({!Runner.fingerprint}) cuts off subtrees
-    already explored from an indistinguishable state, and sleep sets skip
-    re-exploring both orders of commuting steps of different threads.
-    Pruning underapproximates the delivered run {e set} while preserving
-    reachable-state coverage, so verdict-style callers ({!check_all},
-    {!Verify.Obligations}) may opt in; run counts shrink. Setting
-    [CAL_EXPLORE_NO_PRUNE=1] force-disables pruning even for explicit
-    opt-ins — the cross-check mode: a pruned and an unpruned pass must
-    reach identical verdicts.
+    Every exhaustive entry point runs one engine, the incremental DFS of
+    {!Par_explore}: it keeps one live execution
+    ({!Runner.start}/{!Runner.step}) and descends the schedule tree one
+    step per edge, re-establishing a branch point after backtracking with
+    a single prefix replay — O(runs × depth) program steps in total,
+    against O(nodes × depth) for a whole-prefix replay at every node (the
+    seed engine, kept as {!exhaustive_via_replay} for cross-checks and
+    benchmarks). Reductions of the tree are explicit {!strategy} values:
+    source-DPOR (verdict-complete) and the preemption/delay-bounded
+    searches.
 
     {b Parallel exploration.} Every exhaustive entry point takes
     [?domains] (default [1]): with [domains >= 2] the schedule tree is
@@ -37,11 +28,9 @@
     merged in rank order, so verdicts, witnesses and run counts match
     the sequential engine exactly (only [replayed_steps] grows, by the
     task-prefix replays) — except under [max_runs], where the shared run
-    budget admits a scheduling-dependent run subset, and under [prune],
-    where the per-task fingerprint memos make the pruned run set
-    timing-dependent (verdicts preserved). Callbacks run concurrently
-    from several domains; use the [_collect] variants (one accumulator
-    per task, merged in rank order) unless the callback is
+    budget admits a scheduling-dependent run subset. Callbacks run
+    concurrently from several domains; use the [_collect] variants (one
+    accumulator per task, merged in rank order) unless the callback is
     thread-safe. *)
 
 type stats = Engine.stats = {
@@ -54,11 +43,11 @@ type stats = Engine.stats = {
           backtracking, including the parallel front's task-prefix replays
           (for {!exhaustive_via_replay}: every step it executed, since it
           replays the whole prefix at every node) *)
-  fingerprint_hits : int;  (** subtrees cut off by fingerprint memoization *)
-  sleep_pruned : int;      (** sibling decisions skipped by sleep sets *)
+  sleep_pruned : int;
+      (** sibling decisions skipped by the DPOR engine's sleep sets *)
   races_found : int;
       (** direct races detected by the DPOR engine's vector-clock analysis
-          ([0] for the label-heuristic engines) *)
+          ([0] for the full DFS) *)
   backtrack_points : int;
       (** threads added to backtrack sets by source-set race reversal *)
   bound_hits : int;
@@ -105,7 +94,6 @@ val env_flag : string -> bool
 
 val exhaustive :
   ?plan:Fault.plan ->
-  ?prune:bool ->
   ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
@@ -131,19 +119,12 @@ val exhaustive :
     crashed threads contribute no further decisions, so the faulty search
     space is a (usually much smaller) sibling of the fault-free one.
 
-    [prune] (default off, see the module preamble for the environment
-    overrides) enables fingerprint memoization and sleep-set pruning:
-    fewer runs are delivered, but every reachable terminal {e state} is
-    still represented, so property verdicts are preserved. Do not combine
-    with callbacks that count runs.
-
     [domains] (default [1]) spreads the search over that many worker
     domains (module preamble); [f] then runs concurrently and must be
     thread-safe — or use {!exhaustive_collect}. *)
 
 val exhaustive_collect :
   ?plan:Fault.plan ->
-  ?prune:bool ->
   ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
@@ -171,7 +152,7 @@ val exhaustive_via_replay :
   stats
 (** The seed's stateless engine: a whole-prefix {!Runner.replay} at every
     DFS node. Delivers exactly the same outcomes in exactly the same order
-    as unpruned sequential {!exhaustive}; kept as the reference
+    as sequential {!exhaustive}; kept as the reference
     implementation for cross-checking and for the B12 before/after cost
     comparison ([replayed_steps] counts every program step it executes). *)
 
@@ -188,7 +169,6 @@ val random :
 
 val check_all :
   ?plan:Fault.plan ->
-  ?prune:bool ->
   ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
@@ -212,8 +192,8 @@ val check_all :
 
 (** {1 Exploration strategies}
 
-    Beyond the incremental DFS (with its opt-in fingerprint/sleep-set
-    pruning), exploration can run under an explicit {e strategy}:
+    Beyond the full incremental DFS, exploration can run under an
+    explicit {e strategy}:
 
     - {!Dpor}: source-DPOR over the vector-clock happens-before relation
       ({!Deps}/{!Dpor}) — explores one interleaving per Mazurkiewicz trace
@@ -233,7 +213,7 @@ val check_all :
     construction. *)
 
 type strategy =
-  | Dfs  (** the incremental DFS engine (with its env-controlled pruning) *)
+  | Dfs  (** the full incremental DFS: every schedule, no reduction *)
   | Dpor  (** source-DPOR: complete, verdict-preserving reduction *)
   | Preemption_bounded of { bound : int }
       (** at most [bound] preemptive context switches per run *)
@@ -297,23 +277,8 @@ val races_of_durable :
 
 (** {1 Fault exploration} *)
 
-type fault_stats = {
-  plans : int;          (** fault plans explored, including the empty plan *)
-  fault_runs : int;     (** outcomes delivered across all plans *)
-  fault_truncated : bool;  (** a plan hit [max_runs], or [max_plans] bit *)
-  fault_max_steps : int;
-  fault_nodes : int;             (** {!stats.nodes} summed over plans *)
-  fault_replayed_steps : int;    (** {!stats.replayed_steps} summed *)
-  fault_fingerprint_hits : int;  (** {!stats.fingerprint_hits} summed *)
-  fault_sleep_pruned : int;      (** {!stats.sleep_pruned} summed *)
-  fault_tasks_stolen : int;      (** {!stats.tasks_stolen} summed *)
-  fault_domains_used : int;      (** {!stats.domains_used} maxed *)
-  fault_domains_requested : int; (** {!stats.domains_requested} maxed *)
-}
-
 val exhaustive_with_faults :
   ?delay_factors:int list ->
-  ?prune:bool ->
   ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
@@ -323,7 +288,7 @@ val exhaustive_with_faults :
   fault_bound:int ->
   f:(Runner.outcome -> unit) ->
   unit ->
-  fault_stats
+  int * stats
 (** The fault analog of CHESS-style context bounding: systematically
     enumerate fault plans of at most [fault_bound] faults and explore every
     schedule under each.
@@ -336,7 +301,9 @@ val exhaustive_with_faults :
     {!Fault.Fail_step}. Then every plan combining at most [fault_bound] of
     these points is explored exhaustively; [f] receives each outcome,
     which carries its plan in [outcome.faults] and the faults that
-    actually fired in [outcome.injected].
+    actually fired in [outcome.injected]. Returns the number of plans
+    explored (the empty plan included) and the stats merged over every
+    plan.
 
     Plans are enumerated lazily, smallest first; [max_plans] caps the
     enumeration before the exponential subset space is ever materialised
@@ -364,7 +331,6 @@ val exhaustive_with_faults :
 
 val exhaustive_with_faults_collect :
   ?delay_factors:int list ->
-  ?prune:bool ->
   ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
@@ -375,7 +341,7 @@ val exhaustive_with_faults_collect :
   init:(unit -> 'acc) ->
   f:('acc -> Runner.outcome -> unit) ->
   unit ->
-  fault_stats * 'acc array
+  int * stats * 'acc array
 (** {!exhaustive_with_faults} with per-exploration-unit accumulators: one
     per subtree task of the fault-free pass followed by one per fault
     plan, in canonical order (see {!exhaustive_collect}). *)
@@ -392,10 +358,8 @@ val exhaustive_durable :
   stats
 (** {!exhaustive} for a durable program under one fixed (possibly
     crashing) plan — the engine behind {!exhaustive_with_crashes}, exposed
-    for targeted tests. Always unpruned: persistent-cell contents are not
-    part of the state fingerprint, so memoization across crash plans would
-    be unsound. [domains] parallelizes the single plan's schedule tree;
-    [f] must then be thread-safe. *)
+    for targeted tests. [domains] parallelizes the single plan's schedule
+    tree; [f] must then be thread-safe. *)
 
 val exhaustive_with_crashes :
   ?delay_factors:int list ->
@@ -408,7 +372,7 @@ val exhaustive_with_crashes :
   ?fault_bound:int ->
   f:(Runner.outcome -> unit) ->
   unit ->
-  fault_stats
+  int * stats
 (** The crash analog of {!exhaustive_with_faults} for durable programs:
     enumerate {!Fault.Crash_system} plans and explore every schedule of
     the durable program under each.
@@ -430,8 +394,8 @@ val exhaustive_with_crashes :
     the crash-point sweep, so a thread crash or forced CAS failure can be
     combined with a system crash.
 
-    Always unpruned (see {!exhaustive_durable}) and deliberately
-    sequential (no [domains]): each plan's crash-point horizon depends on
+    Returns (plans explored, merged stats), like
+    {!exhaustive_with_faults}. Deliberately sequential (no [domains]): each plan's crash-point horizon depends on
     the runs its parent plan delivered, so the plan enumeration is a
     data-dependent sequential sweep (DESIGN §2.11). Outcomes delivered to
     [f] carry their plan in [outcome.faults], the crashes that actually
@@ -508,11 +472,9 @@ val liveness :
   liveness_stats
 (** Exhaustively explore (like {!exhaustive}) and classify every maximal
     run with the watchdog, threading the idle counters down each path as
-    per-path state of the incremental engine (one pass, no per-prefix
-    replays). Pruning never applies here: the idle counters are path state
-    the fingerprints do not cover. Deliberately sequential (no [domains]):
-    the witness cap and the fairness classification are order-dependent
-    path state best left on the sequential engine (DESIGN §2.11). An
+    the DFS's per-path state (one pass, no per-prefix replays). Runs on
+    one domain (no [domains]): the witness cap is order-dependent state
+    kept simple by a single accumulator (DESIGN §2.11). An
     object passes the liveness obligation when [live_livelocked = 0]: on
     every fair schedule it either finishes or genuinely blocks. *)
 

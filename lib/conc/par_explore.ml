@@ -1,4 +1,13 @@
-(* Work-stealing parallel exploration over OCaml 5 domains (DESIGN §2.11).
+(* The schedule-tree DFS, sequential or work-stealing over OCaml 5 domains
+   (DESIGN §2.11).
+
+   The DFS keeps a single live execution per worker and descends by
+   {!Runner.step} — O(1) per tree edge. Backtracking to a sibling
+   re-establishes the branch point with one prefix replay (the shared heap
+   the program mutates cannot be checkpointed, so it is rebuilt by
+   re-execution): the total work is O(runs × depth) program steps, against
+   O(nodes × depth) for the whole-prefix-replay oracle
+   ({!Explore.exhaustive_via_replay}).
 
    Dynamic cooperative splitting. There is no up-front task partition: the
    whole schedule tree starts as one task, and splitting happens on demand
@@ -35,23 +44,19 @@
    failure in canonical schedule order — byte-identical to the
    sequential witness.
 
-   Pruning caveat: with [prune] on, each task keeps its own fingerprint
-   memo (sharing one across tasks could cut a subtree that a
-   first-failure abort left unexplored). Since the task partition is
-   timing-dependent, the delivered run {e set} of a pruned parallel
-   sweep varies run to run; verdict coverage is preserved (same argument
-   as sequential pruning), but callers that need byte-deterministic
-   pruned reports use one domain. Unpruned sweeps — the default, and
-   everything the report contract covers — are byte-identical across
-   domain counts and executions. *)
-
-type labelled = Runner.decision * string
+   Per-path state. Callers that classify a run by how it was reached
+   (the liveness watchdog's idle counters) thread an immutable ['path]
+   value down each edge with [step_path]; frames and donated chunks carry
+   the value of their node, so a resumed chunk continues with exactly the
+   state the donor would have used. At [domains = 1] the single worker
+   runs on the calling domain and nothing is spawned: this is the
+   sequential engine, not a special case of it. *)
 
 (* A donated chunk: the tail of some node's branch list, plus everything
    needed to resume the node's iteration elsewhere — the prefix to replay,
-   the node's scheduling state, the siblings already descended (feeding
-   later sleep sets), and the global rank of the first donated branch. *)
-type chunk = {
+   the node's scheduling state and path state, and the global rank of the
+   first donated branch. *)
+type 'path chunk = {
   k_rank : int list;            (* branch-index path to the first branch *)
   k_node_rank_rev : int list;   (* path to the node itself, newest first *)
   k_prefix : Runner.decision list;
@@ -59,27 +64,27 @@ type chunk = {
   k_last : int option;
   k_preemptions : int;
   k_last_enabled : bool;
-  k_sleep : labelled list;
-  k_explored : labelled list;   (* descended siblings, newest first *)
-  k_rest : labelled list;       (* the branches this chunk owns, in order *)
+  k_frontier : Runner.decision list;  (* the node's whole frontier *)
+  k_path : 'path;
+  k_rest : Runner.decision list;  (* the branches this chunk owns, in order *)
   k_base : int;                 (* branch index of [hd k_rest] at the node *)
 }
 
-type task = Root | Chunk of chunk
+type 'path task = Root | Chunk of 'path chunk
 
 (* One open node of a worker's DFS. The frame stack mirrors the native
    call stack; it exists so donation can scan for the shallowest frame
    with undescended branches. Owner-private: no locking. *)
-type frame = {
+type 'path frame = {
   fr_depth : int;
   fr_prefix_rev : Runner.decision list;
   fr_rank_rev : int list;
   fr_last : int option;
   fr_preemptions : int;
   fr_last_enabled : bool;
-  fr_sleep : labelled list;
-  mutable fr_explored : labelled list;
-  mutable fr_rest : labelled list;
+  fr_frontier : Runner.decision list;
+  fr_path : 'path;
+  mutable fr_rest : Runner.decision list;
   mutable fr_next : int;  (* branch index of [hd fr_rest] *)
 }
 
@@ -88,10 +93,10 @@ type frame = {
    flag live under the mutex. Termination: every worker idle with an
    empty queue means no task is running, so nothing can be donated —
    done. *)
-type pool = {
+type 'path pool = {
   p_mutex : Mutex.t;
   p_cond : Condition.t;
-  mutable p_queue : chunk list;
+  mutable p_queue : 'path chunk list;
   mutable p_idle : int;
   mutable p_finished : bool;
   mutable p_root_taken : bool;
@@ -185,15 +190,18 @@ let effective_domains requested =
   else if Engine.env_flag "CAL_EXPLORE_OVERSUBSCRIBE" then requested
   else min requested (Domain.recommended_domain_count ())
 
-(* ----------------------------------------------------- parallel explore -- *)
+(* ------------------------------------------------------------- explore -- *)
 
-let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
-    ~f ?stop_on () =
+let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
+    ~step_path ~init ~f ?stop_on () =
   let requested = max 1 domains in
   let domains = effective_domains requested in
   let donate_min = Cal.Tuning.explore_donation_min_height () in
+  (* The run budget is shared by all workers: a delivery is admitted while
+     budget remains, and the delivery that spends the last unit ends the
+     search as truncated — so a sweep that uses up [max_runs] exactly is
+     reported as capped, whether or not more runs remained. *)
   let budget = Option.map Atomic.make max_runs in
-  let gate = Option.map (fun b () -> Atomic.fetch_and_add b (-1) > 0) budget in
   (* Deterministic first-failure bound: the lowest start rank of a task
      that found a failure ([None] = none yet). Strictly-later tasks are
      whole intervals the sequential engine would never reach. *)
@@ -220,30 +228,27 @@ let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
       List.iter (fun d -> ignore (Runner.step !exec d)) prefix;
       let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
       let nodes = ref 0 and replayed = ref depth0 in
-      let fp_hits = ref 0 and slept = ref 0 in
-      let memo : (string, unit) Hashtbl.t =
-        if prune then
-          Hashtbl.create
-            (Cal.Tuning.explore_memo_size ~fuel
-               ~threads:(Engine.threads_of !exec))
-        else Hashtbl.create 1
-      in
       let acc = init () in
       let exception Task_done in
-      let deliver () =
-        (match gate with
-        | Some admit when not (admit ()) ->
+      let deliver frontier path =
+        (match budget with
+        | Some b when Atomic.fetch_and_add b (-1) <= 0 ->
             truncated := true;
             raise Engine.Stop
         | _ -> ());
         let o = Runner.outcome !exec in
-        f acc o;
+        f acc o frontier path;
         incr runs;
         if o.Runner.steps > !max_steps then max_steps := o.Runner.steps;
-        match stop_on with
+        (match stop_on with
         | Some hit when hit acc o ->
             lower rank;
             raise Task_done
+        | _ -> ());
+        match budget with
+        | Some b when Atomic.get b <= 0 ->
+            truncated := true;
+            raise Engine.Stop
         | _ -> ()
       in
       let abandoned () =
@@ -304,8 +309,8 @@ let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
                     k_last = fr.fr_last;
                     k_preemptions = fr.fr_preemptions;
                     k_last_enabled = fr.fr_last_enabled;
-                    k_sleep = fr.fr_sleep;
-                    k_explored = fr.fr_explored;
+                    k_frontier = fr.fr_frontier;
+                    k_path = fr.fr_path;
                     k_rest = fr.fr_rest;
                     k_base = fr.fr_next;
                   };
@@ -316,6 +321,9 @@ let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
           find 0
         end
       in
+      (* Position the execution at the node reached by [prefix_rev]: free
+         while descending along the spine; one fresh prefix replay after
+         returning from an earlier sibling's subtree. *)
       let ensure_at depth prefix_rev =
         if Runner.steps_done !exec <> depth then begin
           let e = restart () in
@@ -324,61 +332,40 @@ let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
           exec := e
         end
       in
-      let rec expand ~depth ~prefix_rev ~rank_rev ~last ~preemptions ~sleep =
+      let rec expand ~depth ~prefix_rev ~rank_rev ~last ~preemptions ~path =
         if abandoned () then raise Engine.Abandoned;
         incr nodes;
         let frontier = Runner.frontier !exec in
-        if frontier = [] || depth >= fuel then deliver ()
+        if frontier = [] || depth >= fuel then deliver frontier path
         else begin
-          let pruned_here =
-            prune
-            &&
-            let fp = Runner.fingerprint !exec in
-            if Hashtbl.mem memo fp then true
-            else begin
-              Hashtbl.add memo fp ();
-              false
-            end
+          let last_enabled =
+            List.exists
+              (fun (d : Runner.decision) -> Some d.thread = last)
+              frontier
           in
-          if pruned_here then incr fp_hits
-          else begin
-            let labelled =
-              List.map
-                (fun (d : Runner.decision) ->
-                  ( d,
-                    Option.value ~default:""
-                      (Runner.head_label !exec d.thread) ))
-                frontier
-            in
-            let last_enabled =
-              List.exists
-                (fun (d : Runner.decision) -> Some d.thread = last)
-                frontier
-            in
-            let fr =
-              {
-                fr_depth = depth;
-                fr_prefix_rev = prefix_rev;
-                fr_rank_rev = rank_rev;
-                fr_last = last;
-                fr_preemptions = preemptions;
-                fr_last_enabled = last_enabled;
-                fr_sleep = sleep;
-                fr_explored = [];
-                fr_rest = labelled;
-                fr_next = 0;
-              }
-            in
-            push fr;
-            iterate fr;
-            pop ()
-          end
+          let fr =
+            {
+              fr_depth = depth;
+              fr_prefix_rev = prefix_rev;
+              fr_rank_rev = rank_rev;
+              fr_last = last;
+              fr_preemptions = preemptions;
+              fr_last_enabled = last_enabled;
+              fr_frontier = frontier;
+              fr_path = path;
+              fr_rest = frontier;
+              fr_next = 0;
+            }
+          in
+          push fr;
+          iterate fr;
+          pop ()
         end
       and iterate fr =
         maybe_donate ();
         match fr.fr_rest with
         | [] -> ()
-        | (d, l) :: rest ->
+        | d :: rest ->
             fr.fr_rest <- rest;
             let idx = fr.fr_next in
             fr.fr_next <- idx + 1;
@@ -388,30 +375,14 @@ let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
               else fr.fr_preemptions
             in
             if within_budget cost then begin
-              if
-                prune
-                && List.exists
-                     (fun ((s : Runner.decision), _) ->
-                       s.thread = d.thread && s.branch = d.branch)
-                     fr.fr_sleep
-              then incr slept
-              else begin
-                ensure_at fr.fr_depth fr.fr_prefix_rev;
-                ignore (Runner.step !exec d);
-                started := true;
-                let sleep' =
-                  if prune then
-                    List.filter
-                      (fun s -> Engine.independent s (d, l))
-                      (fr.fr_sleep @ List.rev fr.fr_explored)
-                  else []
-                in
-                expand ~depth:(fr.fr_depth + 1)
-                  ~prefix_rev:(d :: fr.fr_prefix_rev)
-                  ~rank_rev:(idx :: fr.fr_rank_rev) ~last:(Some d.thread)
-                  ~preemptions:cost ~sleep:sleep';
-                fr.fr_explored <- (d, l) :: fr.fr_explored
-              end
+              ensure_at fr.fr_depth fr.fr_prefix_rev;
+              let path = step_path fr.fr_path fr.fr_frontier d in
+              ignore (Runner.step !exec d);
+              started := true;
+              expand ~depth:(fr.fr_depth + 1)
+                ~prefix_rev:(d :: fr.fr_prefix_rev)
+                ~rank_rev:(idx :: fr.fr_rank_rev) ~last:(Some d.thread)
+                ~preemptions:cost ~path
             end;
             iterate fr
       in
@@ -419,10 +390,10 @@ let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
          match task with
          | Root ->
              expand ~depth:0 ~prefix_rev:[] ~rank_rev:[] ~last:None
-               ~preemptions:0 ~sleep:[]
+               ~preemptions:0 ~path:init_path
          | Chunk c ->
-             (* The donor counted (and, under pruning, memoized) this node
-                when it expanded it; the chunk resumes mid-iteration. *)
+             (* The donor counted this node when it expanded it; the chunk
+                resumes mid-iteration. *)
              let fr =
                {
                  fr_depth = c.k_depth;
@@ -431,8 +402,8 @@ let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
                  fr_last = c.k_last;
                  fr_preemptions = c.k_preemptions;
                  fr_last_enabled = c.k_last_enabled;
-                 fr_sleep = c.k_sleep;
-                 fr_explored = c.k_explored;
+                 fr_frontier = c.k_frontier;
+                 fr_path = c.k_path;
                  fr_rest = c.k_rest;
                  fr_next = c.k_base;
                }
@@ -450,8 +421,6 @@ let explore ~prune ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init
           max_steps = !max_steps;
           nodes = !nodes;
           replayed_steps = !replayed;
-          fingerprint_hits = !fp_hits;
-          sleep_pruned = !slept;
         }
       in
       (rank, stats, acc)

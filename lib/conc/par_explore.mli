@@ -1,4 +1,5 @@
-(** Work-stealing parallel exploration over OCaml 5 domains.
+(** The schedule-tree DFS: incremental exhaustive exploration, sequential
+    or work-stealing over OCaml 5 domains.
 
     Splitting is dynamic: the whole schedule tree starts as one task, and
     while workers explore it they donate the remaining branches of their
@@ -17,8 +18,8 @@
     start rank and abandon only tasks strictly after a failed interval,
     so the surviving lowest-rank witness is the sequential one.
 
-    Most callers want {!Explore} with [~domains]; this module is the
-    parallel engine room.
+    Most callers want {!Explore}; this module is the engine room of every
+    exhaustive sweep, sequential ([domains = 1]) and parallel alike.
 
     A requested domain count is capped at
     [Domain.recommended_domain_count] ({!effective_domains}): domains
@@ -38,33 +39,43 @@ val effective_domains : int -> int
     always at least [1]. *)
 
 val explore :
-  prune:bool ->
   domains:int ->
   ?max_runs:int ->
   ?preemption_bound:int ->
   restart:(unit -> Runner.exec) ->
   fuel:int ->
+  init_path:'path ->
+  step_path:('path -> Runner.decision list -> Runner.decision -> 'path) ->
   init:(unit -> 'acc) ->
-  f:('acc -> Runner.outcome -> unit) ->
+  f:('acc -> Runner.outcome -> Runner.decision list -> 'path -> unit) ->
   ?stop_on:('acc -> Runner.outcome -> bool) ->
   unit ->
   Engine.stats * 'acc array
 (** Explore the whole schedule tree of [restart] across [domains] worker
-    domains. Each task gets its own accumulator ([init] runs once per
-    task); the accumulators are returned in canonical rank order, so
-    folding them left reproduces the sequential delivery order. [f] runs
-    concurrently from several domains but only ever on its own task's
-    accumulator. [stop_on] turns the sweep into a deterministic
-    first-failure search: when it returns [true] the task stops and tasks
-    ranked after it are abandoned; the first accumulator (in rank order)
-    for which it fired holds the same witness the sequential engine
-    reports. [max_runs] is a shared atomic budget — which runs are
-    admitted under it is scheduling-dependent, unlike the sequential
-    engine (callers that need run-set determinism pass no budget).
-    With [prune] each task keeps a private fingerprint memo, so the
-    delivered run {e set} of a pruned multi-domain sweep is
-    timing-dependent (verdict coverage is unaffected); callers that need
-    byte-deterministic pruned reports use one domain. *)
+    domains — the one exhaustive DFS of the library; at [domains = 1] it
+    runs one worker on the calling domain and spawns nothing. Each task
+    gets its own accumulator ([init] runs once per task); the
+    accumulators are returned in canonical rank order, so folding them
+    left reproduces the sequential delivery order. [f] receives every
+    maximal outcome together with the frontier it ended on and its path
+    state; it runs concurrently from several domains but only ever on its
+    own task's accumulator.
+
+    [init_path]/[step_path] thread per-path state down the tree:
+    [step_path p frontier d] is the state after taking [d] from a node
+    whose state is [p] and whose enabled decisions are [frontier]. Pass
+    [()] and a constant function when no path state is needed.
+
+    [stop_on] turns the sweep into a deterministic first-failure search:
+    when it returns [true] the task stops and tasks ranked after it are
+    abandoned; the first accumulator (in rank order) for which it fired
+    holds the same witness the sequential engine reports. [max_runs] is a
+    shared atomic budget; the delivery that spends it stops the search
+    and reports it as truncated. Which runs are admitted under it is
+    scheduling-dependent when [domains >= 2] (callers that need run-set
+    determinism pass no budget or one domain). [fuel] counts schedule
+    depth; [preemption_bound] skips edges whose preemption count would
+    exceed it. *)
 
 val map_tasks :
   domains:int -> f:(int -> 'a -> 'b) -> 'a array -> 'b array * int

@@ -203,7 +203,7 @@ let enabled fs states =
 (* -------------------------------------------- resumable execution API -- *)
 
 (* A live execution: the mutable state a schedule prefix has built so far.
-   {!Explore} descends one decision at a time along the DFS spine instead of
+   {!Par_explore} descends one decision at a time along the DFS spine instead of
    replaying the whole prefix at every node; re-establishing a branch point
    after backtracking costs one prefix replay (the shared heap the program's
    closures mutate cannot be checkpointed generically, so it is rebuilt by
@@ -213,11 +213,6 @@ type exec = {
   mutable e_program : program;
   mutable e_states : Cal.Value.t Prog.t array;
   e_fs : fault_state;
-  mutable e_obs : int array;
-      (* per-thread rolling observation hash: folds, at each of the
-         thread's steps, the step label with the history/trace lengths
-         right after the step — a cheap proxy for "what this thread has
-         seen of the shared structures", used by {!fingerprint} *)
   e_durable : (Pcell.domain * (epoch:int -> program)) option;
   mutable e_epoch : int; (* system crashes survived so far *)
   mutable e_applied_rev : decision list;
@@ -276,7 +271,6 @@ let rec maybe_crash e =
           let program = recover ~epoch:e.e_epoch in
           let n = Array.length program.threads in
           extend_fs e.e_fs n;
-          e.e_obs <- grow e.e_obs n 0;
           e.e_program <- program;
           e.e_states <- Array.copy program.threads;
           maybe_crash e)
@@ -292,7 +286,6 @@ let make_exec ~plan ~ctx ~program ~e_durable () =
       e_program = program;
       e_states = states;
       e_fs = fs;
-      e_obs = Array.make (Array.length states) 0;
       e_durable;
       e_epoch = 0;
       e_applied_rev = [];
@@ -317,8 +310,6 @@ let start_durable ?(plan = []) ~setup () =
     ~e_durable:(Some (d.domain, d.recover))
     ()
 
-let mix h x = (h * 0x01000193) lxor x
-
 let step e d =
   (* Track shared-location accesses only while the decision itself applies:
      guard evaluations in [frontier] and the post-step hooks stay outside
@@ -336,10 +327,6 @@ let step e d =
   Ctx.tick e.e_ctx;
   e.e_applied_rev <- d :: e.e_applied_rev;
   e.e_steps <- e.e_steps + 1;
-  e.e_obs.(d.thread) <-
-    mix
-      (mix (mix e.e_obs.(d.thread) (Hashtbl.hash label)) d.branch)
-      ((Ctx.history_length e.e_ctx * 8191) + Ctx.trace_length e.e_ctx);
   (match e.e_program.on_label with None -> () | Some f -> f label);
   (match e.e_program.observe with None -> () | Some f -> f d);
   (* hooks run first: a crash firing at this step must not swallow the
@@ -361,48 +348,6 @@ let head_label e thread =
     | Prog.Atomic (l, _) | Prog.Fallible (l, _, _) | Prog.Choose (l, _)
     | Prog.Guard (l, _) ->
         Some l
-
-(* A structural key for the execution state, exact over everything the
-   engine can observe: per-thread program position (head constructor and
-   label, or the returned value), the per-thread observation hashes, the
-   fault counters and the clock. Two prefixes with equal fingerprints have
-   made the same observations in the same order, so their continuations
-   explore the same subtree — the memoization ground of {!Explore}'s
-   fingerprint pruning. The key is a string compared for equality (no
-   silent hash-collision merging); the per-thread observation hash is the
-   only lossy component, and the [CAL_EXPLORE_NO_PRUNE=1] cross-check mode
-   exists to validate verdicts independently of it. *)
-let fingerprint e =
-  let b = Buffer.create 128 in
-  if e.e_epoch > 0 then begin
-    (* persistent-cell contents are not part of the key, so prefixes from
-       different epochs must never merge; exploration over crash plans runs
-       unpruned anyway (see Explore.exhaustive_with_crashes) *)
-    Buffer.add_string b (string_of_int e.e_epoch);
-    Buffer.add_char b '@'
-  end;
-  Buffer.add_string b (string_of_int e.e_fs.global_step);
-  Array.iteri
-    (fun i st ->
-      Buffer.add_char b '|';
-      Buffer.add_string b (string_of_int e.e_fs.thread_steps.(i));
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int e.e_obs.(i));
-      Buffer.add_char b ':';
-      Buffer.add_string b (string_of_int e.e_fs.stall_until.(i));
-      Buffer.add_char b ':';
-      (match st with
-      | Prog.Return v -> Buffer.add_string b (Fmt.str "=%a" Cal.Value.pp v)
-      | Prog.Atomic (l, _) -> Buffer.add_string b ("a" ^ l)
-      | Prog.Fallible (l, _, _) -> Buffer.add_string b ("f" ^ l)
-      | Prog.Choose (l, ms) ->
-          Buffer.add_string b (Fmt.str "c%s/%d" l (List.length ms))
-      | Prog.Guard (l, _) -> Buffer.add_string b ("g" ^ l)))
-    e.e_states;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.e_fs.fail_seen []
-  |> List.sort compare
-  |> List.iter (fun (k, v) -> Buffer.add_string b (Fmt.str "|%s#%d" k v));
-  Buffer.contents b
 
 let snapshot e =
   let fs = e.e_fs and states = e.e_states in

@@ -66,8 +66,9 @@ type frontier = decision list
 
 (** {1 Resumable execution}
 
-    A live execution over explicit mutable state. {!Explore}'s incremental
-    engine descends the DFS tree one {!step} at a time and re-establishes a
+    A live execution over explicit mutable state. The incremental DFS of
+    {!Par_explore} (behind every exhaustive entry point of {!Explore})
+    descends the schedule tree one {!step} at a time and re-establishes a
     branch point after backtracking with a single prefix replay — O(1)
     steps per tree edge instead of a whole-prefix replay per node. The
     shared heap that program closures mutate cannot be checkpointed
@@ -113,15 +114,6 @@ val steps_done : exec -> int
 
 val head_label : exec -> int -> string option
 (** The label of the thread's next step ([None] once it returned). *)
-
-val fingerprint : exec -> string
-(** A structural key of the execution state: per-thread program positions
-    (head constructor + label, or returned value), per-thread rolling
-    observation hashes (each step folds its label with the history/trace
-    lengths it observed), fault counters and the clock. Equal fingerprints
-    mean the engine cannot distinguish the two states; {!Explore} uses
-    this for memoized subtree pruning, guarded by the
-    [CAL_EXPLORE_NO_PRUNE=1] cross-check mode. *)
 
 val ctx : exec -> Ctx.t
 (** The execution's run context. *)

@@ -1,6 +1,6 @@
 (** Randomized schedulers for sampled checking (PCT-style).
 
-    Exhaustive exploration caps out near fuel ~16–18 even pruned and
+    Exhaustive exploration caps out near fuel ~16–18 even reduced and
     parallel; beyond that, the only road is {e sampling}: run the program
     under a randomized scheduler many times and check every outcome. The
     schedulers here are deterministic functions of an explicit {!Rng.t},

@@ -212,36 +212,16 @@ let check_object ?domains ?strategy ~setup ~spec ~view ~fuel ?max_runs
   collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
     ~check:(check_outcome ~spec ~view) ()
 
-(* Collapse the per-plan counters of a fault/crash sweep into the single
-   exploration stats slot of a report. *)
-let fault_exploration (stats : Conc.Explore.fault_stats) =
-  Conc.Explore.
-    {
-      Conc.Explore.empty_stats with
-      runs = stats.fault_runs;
-      truncated = stats.fault_truncated;
-      max_steps = stats.fault_max_steps;
-      nodes = stats.fault_nodes;
-      replayed_steps = stats.fault_replayed_steps;
-      fingerprint_hits = stats.fault_fingerprint_hits;
-      sleep_pruned = stats.fault_sleep_pruned;
-      tasks_stolen = stats.fault_tasks_stolen;
-      domains_used = stats.fault_domains_used;
-      domains_requested = stats.fault_domains_requested;
-    }
-
 let check_object_with_faults ?delay_factors ?domains ~setup ~spec ~view ~fuel
     ?max_runs ?preemption_bound ?max_plans ~fault_bound () =
   let domains = resolve_domains ~max_runs domains in
-  let stats, accs =
+  let _plans, stats, accs =
     Conc.Explore.exhaustive_with_faults_collect ?delay_factors ~domains ~setup
       ~fuel ?max_runs ?preemption_bound ?max_plans ~fault_bound ~init:new_acc
       ~f:(record (check_outcome ~spec ~view))
       ()
   in
-  report_of
-    ~exploration:(fault_exploration stats)
-    ~truncated:stats.Conc.Explore.fault_truncated accs
+  report_of ~exploration:stats ~truncated:stats.truncated accs
 
 (* The liveness obligation (watchdog): on every fair schedule the object
    either finishes or genuinely blocks. A livelocked run — incomplete at
@@ -364,15 +344,13 @@ let check_durable_with_faults ?(checker = `Cal) ?cache ?delay_factors ~setup
           (fun () -> durable_check ~checker ~spec outcome)
   in
   let acc = new_acc () in
-  let stats =
+  let _plans, stats =
     Conc.Explore.exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
       ?preemption_bound ?max_plans ?max_crash_depth ~fault_bound
       ~f:(record check acc) ()
   in
   patch_cache vc
-    (report_of
-       ~exploration:(fault_exploration stats)
-       ~truncated:stats.Conc.Explore.fault_truncated [| acc |])
+    (report_of ~exploration:stats ~truncated:stats.truncated [| acc |])
 
 let check_durable ?checker ?cache ~setup ~spec ~fuel ?max_runs
     ?preemption_bound ?max_plans ?max_crash_depth () =
@@ -578,8 +556,7 @@ let ok r = r.problems = []
 let pp_exploration ppf (s : Conc.Explore.stats) =
   Fmt.pf ppf " [nodes %d, replayed %d steps%s%s%s%s%s%s]" s.nodes
     s.replayed_steps
-    (if s.fingerprint_hits > 0 || s.sleep_pruned > 0 then
-       Fmt.str ", pruned %d fp + %d sleep" s.fingerprint_hits s.sleep_pruned
+    (if s.sleep_pruned > 0 then Fmt.str ", pruned %d sleep" s.sleep_pruned
      else "")
     (if s.races_found > 0 || s.backtrack_points > 0 then
        Fmt.str ", %d races / %d backtrack points" s.races_found

@@ -75,7 +75,7 @@ type report = {
   truncated : bool;
   exploration : Conc.Explore.stats option;
       (** engine cost counters of the underlying exploration — nodes
-          visited, steps replayed on backtracking, pruning hits — when the
+          visited, steps replayed on backtracking, DPOR counters — when the
           check ran on the exhaustive engine; for sampled checks the
           [sampled_runs]/[violations_found]/[shrink_*] counters are live
           instead ([None] for liveness reports, whose stats live in

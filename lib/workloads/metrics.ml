@@ -379,7 +379,6 @@ type explore_cost = {
   nodes : int;
   steps_executed : int;
   replayed_steps : int;
-  fingerprint_hits : int;
   sleep_pruned : int;
   races_found : int;
   backtrack_points : int;
@@ -400,15 +399,11 @@ let explore_cost ~engine ~setup ~fuel ?max_runs ?preemption_bound () =
             ?preemption_bound ~f:ignore () )
     | `Incremental ->
         ( "incremental",
-          Explore.exhaustive ~prune:false ~setup ~fuel ?max_runs
-            ?preemption_bound ~f:ignore () )
-    | `Pruned ->
-        ( "incremental+prune",
-          Explore.exhaustive ~prune:true ~setup ~fuel ?max_runs
-            ?preemption_bound ~f:ignore () )
+          Explore.exhaustive ~setup ~fuel ?max_runs ?preemption_bound
+            ~f:ignore () )
     | `Parallel d ->
         ( Printf.sprintf "parallel-%d" d,
-          Explore.exhaustive ~prune:false ~domains:d ~setup ~fuel ?max_runs
+          Explore.exhaustive ~domains:d ~setup ~fuel ?max_runs
             ?preemption_bound ~f:ignore () )
     | `Dpor ->
         ( "dpor",
@@ -430,7 +425,7 @@ let explore_cost ~engine ~setup ~fuel ?max_runs ?preemption_bound () =
     | `Replay ->
         (* the replay engine executes exactly the steps it replays *)
         stats.Explore.replayed_steps
-    | `Incremental | `Pruned | `Parallel _ | `Dpor | `Preemption_bounded _
+    | `Incremental | `Parallel _ | `Dpor | `Preemption_bounded _
     | `Delay_bounded _ ->
         (* one fresh step per tree edge, plus the backtracking replays *)
         max 0 (stats.Explore.nodes - 1) + stats.Explore.replayed_steps
@@ -441,7 +436,6 @@ let explore_cost ~engine ~setup ~fuel ?max_runs ?preemption_bound () =
     nodes = stats.Explore.nodes;
     steps_executed;
     replayed_steps = stats.Explore.replayed_steps;
-    fingerprint_hits = stats.Explore.fingerprint_hits;
     sleep_pruned = stats.Explore.sleep_pruned;
     races_found = stats.Explore.races_found;
     backtrack_points = stats.Explore.backtrack_points;
@@ -455,9 +449,9 @@ let explore_cost ~engine ~setup ~fuel ?max_runs ?preemption_bound () =
 
 let pp_explore_cost ppf c =
   Fmt.pf ppf
-    "%-18s runs=%-6d nodes=%-7d steps=%-8d replayed=%-8d fp=%-5d sleep=%d%s%s%s%s"
+    "%-18s runs=%-6d nodes=%-7d steps=%-8d replayed=%-8d sleep=%d%s%s%s%s"
     c.engine c.explored_runs c.nodes c.steps_executed c.replayed_steps
-    c.fingerprint_hits c.sleep_pruned
+    c.sleep_pruned
     (if c.races_found > 0 || c.backtrack_points > 0 then
        Fmt.str " races=%d backtracks=%d" c.races_found c.backtrack_points
      else "")

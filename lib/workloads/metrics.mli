@@ -95,23 +95,21 @@ val pp_result : Format.formatter -> result -> unit
 
     Cost counters of one exhaustive exploration, for the B12 engine
     comparison: the same state space explored by the seed's
-    whole-prefix-replay engine ([`Replay]), the incremental engine
-    ([`Incremental]) and the incremental engine with fingerprint/sleep-set
-    pruning ([`Pruned]). [steps_executed] is the total number of program
+    whole-prefix-replay engine ([`Replay]) and the incremental engine
+    ([`Incremental]). [steps_executed] is the total number of program
     steps the engine actually executed — the replay engine's per-node
     whole-prefix replays versus the incremental engine's one step per tree
     edge plus its backtracking replays. *)
 
 type explore_cost = {
   engine : string;
-      (** "replay" | "incremental" | "incremental+prune" | "parallel-N"
+      (** "replay" | "incremental" | "parallel-N"
           | "dpor" | "preemption:N" | "delay:N" *)
   explored_runs : int;    (** terminal outcomes delivered *)
   nodes : int;            (** schedule-tree nodes visited *)
   steps_executed : int;   (** program steps executed in total *)
   replayed_steps : int;   (** of which re-executed prefix steps *)
-  fingerprint_hits : int;
-  sleep_pruned : int;
+  sleep_pruned : int;     (** DPOR sleep-set skips *)
   races_found : int;      (** dependent step pairs the HB analysis flagged *)
   backtrack_points : int; (** source-DPOR backtrack insertions *)
   bound_hits : int;       (** branches cut at the final deepening level *)
@@ -131,7 +129,6 @@ val explore_cost :
   engine:
     [ `Replay
     | `Incremental
-    | `Pruned
     | `Parallel of int
     | `Dpor
     | `Preemption_bounded of int
@@ -143,9 +140,8 @@ val explore_cost :
   unit ->
   explore_cost
 (** Explore [setup] exhaustively with the chosen engine (outcomes are
-    discarded) and report the cost counters. Note [`Pruned] asks for
-    pruning explicitly, so [CAL_EXPLORE_NO_PRUNE=1] turns it into
-    [`Incremental]. [`Parallel d] is the unpruned incremental engine
+    discarded) and report the cost counters. [`Parallel d] is the
+    incremental engine
     spread over [d] worker domains ({!Conc.Par_explore}) — same runs and
     nodes, [replayed_steps] grows by the task-prefix replays. [`Dpor]
     and the bounded engines run {!Conc.Explore.exhaustive_strategy}

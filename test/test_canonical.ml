@@ -205,6 +205,36 @@ let test_capacity_below_shards () =
   lookup "b";
   Alcotest.(check int) "no recompute within capacity" 2 !hit
 
+(* Unbounded caches keep per-domain front tables. Those must die with the
+   cache: a process that checks many specifications creates and drops
+   many caches, and each front table holds every verdict its domain saw.
+   Fill a few hundred caches on this domain (the front table answers the
+   repeat lookup), drop them, compact, and require the live heap not to
+   have grown by anything like their contents (~3,000 words each). *)
+let test_dropped_caches_are_collected () =
+  let key i = Fmt.str "%s-%d" (String.make 64 'k') i in
+  let fill () =
+    let c = Verdict_cache.create () in
+    for i = 0 to 199 do
+      ignore (Verdict_cache.find_or_compute c ~key:(key i) (fun () -> Ok ()))
+    done;
+    ignore (Verdict_cache.find_or_compute c ~key:(key 0) (fun () -> Ok ()));
+    Alcotest.(check int) "repeat lookup hits" 1 (Verdict_cache.hits c)
+  in
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  fill ();
+  let before = live_words () in
+  for _ = 1 to 300 do
+    fill ()
+  done;
+  let grown = live_words () - before in
+  check_bool
+    (Fmt.str "live words stay bounded after 300 dropped caches (grew %d)" grown)
+    true (grown < 50_000)
+
 (* The engines keep their default unbounded behaviour unless the
    environment knob is set; the knob itself parses defensively. *)
 let test_tuning_capacity_knob () =
@@ -249,6 +279,8 @@ let () =
           t "eviction is verdict-transparent"
             test_eviction_is_verdict_transparent;
           t "capacity below shard count" test_capacity_below_shards;
+          t "dropped unbounded caches are collected"
+            test_dropped_caches_are_collected;
           t "CAL_VERDICT_CACHE_CAP knob" test_tuning_capacity_knob;
         ] );
     ]

@@ -295,7 +295,7 @@ let test_dpor_keeps_lost_update () =
 let test_deepening_partitions_exactly () =
   let fuel = 8 in
   let dfs =
-    Explore.exhaustive ~prune:false ~setup:lost_update_setup ~fuel ~f:ignore ()
+    Explore.exhaustive ~setup:lost_update_setup ~fuel ~f:ignore ()
   in
   List.iter
     (fun strategy ->

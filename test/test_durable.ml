@@ -216,7 +216,7 @@ let test_crash_point_zero () =
 
 let test_exploration_epochs () =
   let crash_free = ref 0 and crashed = ref 0 in
-  let (_ : Explore.fault_stats) =
+  let (_ : int * Explore.stats) =
     Explore.exhaustive_with_crashes ~setup:stack_scen.S.d_setup
       ~fuel:stack_scen.S.d_fuel ~max_runs:200 ~preemption_bound:1 ~max_plans:6
       ~f:(fun o ->

@@ -1,6 +1,5 @@
 (* Tests for the incremental exploration engine: equivalence with the
-   replay engine (runs, schedules, stats), fingerprint/sleep-set pruning,
-   the lazy fault-plan enumeration and its cap, the single fault-free
+   replay engine (runs, schedules, stats), the lazy fault-plan enumeration and its cap, the single fault-free
    candidate-learning pass, the overlapping fail-pattern counter fix,
    check_all's truncation semantics, and watchdog starvation stickiness. *)
 
@@ -12,11 +11,6 @@ module S = Workloads.Scenarios
 
 let t name f = Alcotest.test_case name `Quick f
 
-let no_prune_env =
-  match Sys.getenv_opt "CAL_EXPLORE_NO_PRUNE" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
 let d thread = { Runner.thread; branch = 0 }
 
 (* Both engines on the same state space, collecting delivered schedules. *)
@@ -26,7 +20,7 @@ let explore_schedules engine ?plan ?preemption_bound ~setup ~fuel () =
   let stats =
     match engine with
     | `Incremental ->
-        Explore.exhaustive ?plan ~prune:false ~setup ~fuel ?preemption_bound ~f ()
+        Explore.exhaustive ?plan ~setup ~fuel ?preemption_bound ~f ()
     | `Replay ->
         Explore.exhaustive_via_replay ?plan ~setup ~fuel ?preemption_bound ~f ()
   in
@@ -164,15 +158,15 @@ let test_single_fault_free_pass () =
   let s0 = !starts in
   check_bool "some executions" true (s0 > 0 && plain.Explore.runs > 0);
   starts := 0;
-  let fs =
+  let plans, fs =
     Explore.exhaustive_with_faults ~setup ~fuel:10 ~max_plans:1 ~fault_bound:1
       ~f:ignore ()
   in
-  Alcotest.(check int) "only the empty plan fits the cap" 1 fs.Explore.plans;
-  check_bool "cap recorded as truncation" true fs.Explore.fault_truncated;
+  Alcotest.(check int) "only the empty plan fits the cap" 1 plans;
+  check_bool "cap recorded as truncation" true fs.Explore.truncated;
   Alcotest.(check int) "fault-free space executed once, not twice" s0 !starts;
   Alcotest.(check int) "its runs are the fault-free runs" plain.Explore.runs
-    fs.Explore.fault_runs
+    fs.Explore.runs
 
 (* Plans are enumerated lazily, smallest size first; the cap takes a prefix
    of that order and is reported as truncation. *)
@@ -188,20 +182,20 @@ let test_lazy_plan_enumeration () =
   in
   (* two 1-step threads: candidates crash(0,1) and crash(1,1); plans are
      [] ; the two singletons ; the pair *)
-  let fs =
+  let plans, fs =
     Explore.exhaustive_with_faults ~setup ~fuel:10 ~fault_bound:2 ~f ()
   in
-  Alcotest.(check int) "full enumeration" 4 fs.Explore.plans;
-  check_bool "not truncated" false fs.Explore.fault_truncated;
+  Alcotest.(check int) "full enumeration" 4 plans;
+  check_bool "not truncated" false fs.Explore.truncated;
   let sizes = List.rev_map List.length !plan_order in
   Alcotest.(check (list int)) "smallest plans first" [ 0; 1; 1; 2 ] sizes;
   plan_order := [];
-  let fs =
+  let plans, fs =
     Explore.exhaustive_with_faults ~setup ~fuel:10 ~max_plans:3 ~fault_bound:2
       ~f ()
   in
-  Alcotest.(check int) "capped" 3 fs.Explore.plans;
-  check_bool "cap is truncation" true fs.Explore.fault_truncated;
+  Alcotest.(check int) "capped" 3 plans;
+  check_bool "cap is truncation" true fs.Explore.truncated;
   Alcotest.(check (list int)) "cap takes the enumeration's prefix" [ 0; 1; 1 ]
     (List.rev_map List.length !plan_order)
 
@@ -218,12 +212,12 @@ let test_lazy_plan_cap_scales () =
   in
   (* 18 crash candidates; subsets up to size 12 ≈ 2^18 — the lazy
      enumeration must stop after 10 plans without building them *)
-  let fs =
+  let plans, fs =
     Explore.exhaustive_with_faults ~setup ~fuel:4 ~max_runs:50 ~max_plans:10
       ~fault_bound:12 ~f:ignore ()
   in
-  Alcotest.(check int) "capped at 10" 10 fs.Explore.plans;
-  check_bool "truncated" true fs.Explore.fault_truncated
+  Alcotest.(check int) "capped at 10" 10 plans;
+  check_bool "truncated" true fs.Explore.truncated
 
 let p_no_lost_update (o : Runner.outcome) =
   not (o.Runner.results = [| Some (Value.int 0); Some (Value.int 0) |])
@@ -272,72 +266,6 @@ let test_watchdog_starvation_sticky () =
       Alcotest.(check (list int)) "thread 1 stays starved" [ 1 ] ts
   | v -> Alcotest.failf "expected Starved, got %a" Explore.pp_verdict v
 
-(* Pruning shrinks the explored run set (fingerprints collapse the
-   yield-diamonds, sleep sets collapse commuting location accesses) while
-   preserving check_all verdicts. Skipped when CAL_EXPLORE_NO_PRUNE=1
-   force-disables pruning — then pruned and unpruned runs must be equal. *)
-let test_pruning_shrinks_and_preserves_verdicts () =
-  let yields _ctx =
-    let mk _ =
-      let rec go k =
-        if k = 0 then Prog.return Value.unit else Prog.yield >>= fun () -> go (k - 1)
-      in
-      go 3
-    in
-    { Runner.threads = Array.init 2 mk; observe = None; on_label = None }
-  in
-  let full = Explore.exhaustive ~prune:false ~setup:yields ~fuel:100 ~f:ignore () in
-  let pruned = Explore.exhaustive ~prune:true ~setup:yields ~fuel:100 ~f:ignore () in
-  Alcotest.(check int) "unpruned yield-diamond" 20 full.Explore.runs;
-  if no_prune_env then
-    Alcotest.(check int) "kill switch: pruning disabled" full.Explore.runs
-      pruned.Explore.runs
-  else begin
-    check_bool "fewer runs" true (pruned.Explore.runs < full.Explore.runs);
-    check_bool "some reduction counted" true
-      (pruned.Explore.fingerprint_hits + pruned.Explore.sleep_pruned > 0);
-    (* same-location steps never commute, so here memoization is the only
-       reduction: both read orders reach an indistinguishable state *)
-    let memo =
-      Explore.exhaustive ~prune:true ~setup:counter_setup ~fuel:10 ~f:ignore ()
-    in
-    check_bool "fingerprint hits counted" true (memo.Explore.fingerprint_hits > 0)
-  end;
-  (* disjoint locations: sleep sets fire *)
-  let disjoint _ctx =
-    let a = ref 0 and b = ref 0 in
-    let writer cell loc =
-      Prog.atomic ~label:("w" ^ loc) (fun () -> incr cell)
-      >>= fun () ->
-      Prog.atomic ~label:("w" ^ loc) (fun () -> incr cell)
-      >>= fun () -> Prog.return Value.unit
-    in
-    {
-      Runner.threads = [| writer a "@A"; writer b "@B" |];
-      observe = None;
-      on_label = None;
-    }
-  in
-  let full = Explore.exhaustive ~prune:false ~setup:disjoint ~fuel:100 ~f:ignore () in
-  let pruned = Explore.exhaustive ~prune:true ~setup:disjoint ~fuel:100 ~f:ignore () in
-  if not no_prune_env then begin
-    check_bool "commuting writers pruned" true
-      (pruned.Explore.runs < full.Explore.runs);
-    check_bool "some reduction counted" true
-      (pruned.Explore.fingerprint_hits + pruned.Explore.sleep_pruned > 0)
-  end;
-  (* verdicts agree, pruned or not *)
-  let verdict prune =
-    match
-      Explore.check_all ~prune ~setup:counter_setup ~fuel:10
-        ~p:p_no_lost_update ()
-    with
-    | Ok _ -> `Holds
-    | Error _ -> `Fails
-  in
-  check_bool "pruning preserves the lost-update verdict" true
-    (verdict true = `Fails && verdict false = `Fails)
-
 let test_obligations_surface_exploration_stats () =
   let s = S.exchanger_pair () in
   let r =
@@ -375,11 +303,6 @@ let () =
             test_metrics_explore_cost;
           t "obligations surface exploration stats"
             test_obligations_surface_exploration_stats;
-        ] );
-      ( "pruning",
-        [
-          t "pruning shrinks runs, preserves verdicts"
-            test_pruning_shrinks_and_preserves_verdicts;
         ] );
       ( "fault plans",
         [

@@ -301,7 +301,7 @@ let test_exhaustive_with_faults_exchanger () =
   let total = ref 0 in
   let faulty_runs = ref 0 in
   let sampled = ref [] in
-  let stats =
+  let plans, stats =
     Explore.exhaustive_with_faults ~setup:pair_setup ~fuel:60 ~fault_bound:1
       ~f:(fun o ->
         incr total;
@@ -313,9 +313,9 @@ let test_exhaustive_with_faults_exchanger () =
           (Cal_checker.is_cal ~crashed:(crashed_tids o) ~spec:ex_spec o.history))
       ()
   in
-  check_bool "terminates with multiple plans" true (stats.plans > 1);
-  check_bool "not truncated" false stats.fault_truncated;
-  check_bool "delivered runs counted" true (stats.fault_runs = !total);
+  check_bool "terminates with multiple plans" true (plans > 1);
+  check_bool "not truncated" false stats.Explore.truncated;
+  check_bool "delivered runs counted" true (stats.Explore.runs = !total);
   check_bool "fault-free plan included" true (!total > !faulty_runs);
   check_bool "faulty plans actually ran" true (!faulty_runs > 0);
   (* replay determinism: same (schedule, plan) -> identical outcome *)
@@ -465,7 +465,7 @@ let test_degraded_elim_stack_verifies () =
 let test_elim_stack_single_fault_sweep () =
   let s = Workloads.Scenarios.elim_stack_push_pop ~k:1 () in
   let checked = ref 0 in
-  let stats =
+  let plans, _ =
     Explore.exhaustive_with_faults ~setup:s.setup ~fuel:s.fuel ~fault_bound:1
       ~preemption_bound:1 ~max_plans:12
       ~f:(fun o ->
@@ -475,7 +475,7 @@ let test_elim_stack_single_fault_sweep () =
         | Error m -> Alcotest.failf "outcome under %a: %s" Fault.pp_plan o.faults m)
       ()
   in
-  check_bool "plans explored" true (stats.plans > 1 && !checked > 0)
+  check_bool "plans explored" true (plans > 1 && !checked > 0)
 
 (* Satellite check: the online monitor riding exhaustive_with_faults against
    the post-hoc black-box checker, run by run, on the lost-update counter.
@@ -489,7 +489,7 @@ let test_monitor_agrees_with_checker_under_faults () =
   let s = Workloads.Scenarios.faulty_counter () in
   let wrapped, status = Verify.Monitor.wrap ~spec:s.spec ~view:s.view ~setup:s.setup in
   let runs = ref 0 and violations = ref 0 in
-  let (_ : Explore.fault_stats) =
+  let (_ : int * Explore.stats) =
     Explore.exhaustive_with_faults ~setup:wrapped ~fuel:s.fuel ~fault_bound:1
       ~max_plans:10
       ~f:(fun o ->

@@ -448,22 +448,25 @@ let test_liveness_obligation_timed_pair () =
   check_bool "every run completes" true
     (r.Verify.Obligations.complete_runs = r.Verify.Obligations.runs)
 
+(* a push/pop pair on an elimination stack that degrades to the plain
+   stack after two failed elimination attempts *)
+let degraded_elim_setup ctx =
+  let es =
+    Elimination_stack.create ~degrade_after:2 ~k:1
+      ~slot_strategy:Elim_array.All_slots ctx
+  in
+  no_observe
+    [|
+      Elimination_stack.push es ~tid:(tid 0) (Value.int 5);
+      Elimination_stack.pop es ~tid:(tid 1);
+    |]
+
 let test_liveness_degraded_elim_stack () =
   (* graceful degradation bounds the elimination detour: no fair schedule
      spins the push/pop pair forever *)
-  let setup ctx =
-    let es =
-      Elimination_stack.create ~degrade_after:2 ~k:1
-        ~slot_strategy:Elim_array.All_slots ctx
-    in
-    no_observe
-      [|
-        Elimination_stack.push es ~tid:(tid 0) (Value.int 5);
-        Elimination_stack.pop es ~tid:(tid 1);
-      |]
-  in
   let stats =
-    Explore.liveness ~setup ~fuel:26 ~window:8 ~preemption_bound:2 ()
+    Explore.liveness ~setup:degraded_elim_setup ~fuel:26 ~window:8
+      ~preemption_bound:2 ()
   in
   check_bool "no livelock under degradation" true
     (stats.Explore.live_livelocked = 0);
@@ -479,6 +482,42 @@ let test_liveness_with_faults_timed_pair () =
   check_bool "no livelock across the sweep" true
     (stats.Explore.live_livelocked = 0);
   check_bool "starvation never flagged" true (stats.Explore.live_starved = 0)
+
+(* The DFS classifies each run from idle counters carried down the tree as
+   per-path state. Cross-check it against an independent classifier: the
+   single-run watchdog, replayed on every schedule the whole-prefix-replay
+   oracle delivers at the same fuel, window and bound. *)
+let test_liveness_matches_watchdog () =
+  let timed = S.exchanger_timed_pair () in
+  List.iter
+    (fun (name, setup, fuel, window, preemption_bound) ->
+      let live = Explore.liveness ~setup ~fuel ~window ?preemption_bound () in
+      let completed = ref 0 and deadlocked = ref 0 in
+      let starved = ref 0 and livelocked = ref 0 in
+      let oracle =
+        Explore.exhaustive_via_replay ~setup ~fuel ?preemption_bound
+          ~f:(fun o ->
+            incr
+              (match Explore.watchdog ~setup ~window o.Runner.schedule with
+              | Explore.Completed -> completed
+              | Explore.Deadlocked -> deadlocked
+              | Explore.Starved _ -> starved
+              | Explore.Livelocked -> livelocked))
+          ()
+      in
+      let check what expected got =
+        Alcotest.(check int) (name ^ ": " ^ what) expected got
+      in
+      check "runs" oracle.Explore.runs live.Explore.live_runs;
+      check "completed" !completed live.Explore.live_completed;
+      check "deadlocked" !deadlocked live.Explore.live_deadlocked;
+      check "starved" !starved live.Explore.live_starved;
+      check "livelocked" !livelocked live.Explore.live_livelocked)
+    [
+      ("livelock", livelock_setup, 16, 8, None);
+      ("timed pair", timed.S.setup, timed.S.fuel, 8, timed.S.bound);
+      ("degraded elimination stack", degraded_elim_setup, 26, 8, Some 2);
+    ]
 
 let () =
   Alcotest.run "timeouts"
@@ -524,5 +563,7 @@ let () =
           t "liveness obligation: timed pair" test_liveness_obligation_timed_pair;
           t "liveness: degraded elimination stack" test_liveness_degraded_elim_stack;
           t "liveness over the fault sweep" test_liveness_with_faults_timed_pair;
+          t "liveness matches the single-run watchdog"
+            test_liveness_matches_watchdog;
         ] );
     ]
