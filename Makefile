@@ -1,4 +1,4 @@
-.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke fuzz-smoke serve-smoke serve-crash-smoke ci clean
+.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke ci clean
 
 all: build
 
@@ -13,9 +13,10 @@ test:
 # unpruned engine (verdict and replayed witness), then the scenario /
 # verify / fault / timeout suites re-run with CAL_EXPLORE_STRATEGY=dpor so
 # every obligation check in them decides with the DPOR engine instead of
-# the DFS. The full suite is deliberately not run under the override: the
-# strategy engines ignore the legacy preemption_bound, so suites that
-# lean on bounded DFS for their largest scenarios would explore the full
+# the DFS. The full suite is deliberately not run under the override:
+# off the Dfs strategy an obligation check ignores ?preemption_bound (the
+# strategy alone defines the run set), so suites that lean on a
+# preemption bound for their largest scenarios would explore the full
 # unbounded space.
 cross-check-dpor:
 	dune exec test/test_dpor.exe
@@ -57,8 +58,8 @@ bench-parallel:
 # Regenerate only BENCH_dpor.json (the B18 reduction figure) at full fuel:
 # source-DPOR vs the unreduced incremental DFS on the treiber/exchanger
 # scenarios (in-process asserts: >= 5x fewer runs, identical verdicts) and
-# the delay-bounded deepening level at which each Faulty.* bug is found
-# (asserted <= 2).
+# the smallest delay bound at which the delay-bounded DFS finds each
+# Faulty.* bug (asserted <= 2).
 bench-dpor:
 	dune exec bench/main.exe -- dpor
 
@@ -109,7 +110,15 @@ fuzz-smoke:
 serve-crash-smoke: build
 	bash scripts/serve_crash_smoke.sh
 
-ci: build test cross-check-dpor check-parallel fuzz-smoke serve-smoke serve-crash-smoke
+# The repo benchmark (perfbench/, declared by BENCHMARK.json) in its smoke
+# mode: every workload runs tiny, traced and untraced, and every named
+# metric, unit and gate is checked — among them that the traced pass
+# explored as many runs as the Obligations entry point. Refuses to run
+# with any CAL_* variable set.
+perfbench-smoke:
+	python3 perfbench/run.py --smoke
+
+ci: build test cross-check-dpor check-parallel fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke
 
 # dune clean only touches _build; the committed BENCH_*.json figures in the
 # repo root are regenerated by bench targets, never deleted here.

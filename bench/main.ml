@@ -504,13 +504,13 @@ let figure_explore () =
   close_out oc;
   Fmt.pr "# rows written to BENCH_explore.json@."
 
-(* B18 — source-DPOR reduction and bounded iterative deepening. Two claims,
+(* B18 — source-DPOR reduction and delay-bounded bug depth. Two claims,
    asserted in-process so the benchmark doubles as a regression gate:
    - reduction: on the tracked-cell scenarios at full fuel, source-DPOR
      delivers at least 5x fewer runs than the unreduced incremental DFS
      while the black-box verdict is unchanged;
-   - bug-finding: delay-bounded iterative deepening finds every
-     deliberately injected violation within bound <= 2.
+   - bug-finding: the delay-bounded DFS, at bound 0, 1, 2 in turn, finds
+     every deliberately injected violation within bound <= 2.
    Results land in BENCH_dpor.json. *)
 let figure_dpor () =
   let fuel = if quick then 12 else 16 in
@@ -555,14 +555,14 @@ let figure_dpor () =
         [ (s.name, full, full_ms); (s.name, dpor, dpor_ms) ])
       scenarios
   in
-  Fmt.pr "@.# B18b: delay-bounded deepening on the injected bugs@.";
+  Fmt.pr "@.# B18b: delay-bounded DFS on the injected bugs@.";
   let bound_rows =
     List.map
       (fun (s : S.t) ->
         let rec find b =
           if b > 2 then
             Fmt.failwith
-              "B18: delay-bounded deepening missed the %s violation within \
+              "B18: the delay-bounded DFS missed the %s violation within \
                bound 2"
               s.name
           else

@@ -1,7 +1,8 @@
-(* One home for the search-side hash-table sizing heuristics and the
-   numeric knobs read from the environment. The checkers' memo tables
-   were previously created with magic literals (512/1024) regardless of
-   the problem size; the helpers here scale the initial size with the quantity that actually
+(* One home for the search-side hash-table sizing heuristics and every
+   knob read from the environment: no other module of the library calls
+   [Sys.getenv_opt]. The checkers' memo tables were previously created
+   with magic literals (512/1024) regardless of the problem size; the
+   helpers here scale the initial size with the quantity that actually
    drives the number of keys, clamped so tiny problems do not pay for
    8k-slot tables and huge ones do not start from a handful of buckets. *)
 
@@ -41,3 +42,22 @@ let explore_donation_min_height () =
   | None | Some "" -> 2
   | Some s -> (
       match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 2)
+
+(* A boolean switch is on for 1/true/yes/on, off for anything else. *)
+let env_flag v =
+  match Sys.getenv_opt v with
+  | Some ("1" | "true" | "yes" | "on") -> true
+  | _ -> false
+
+let explore_oversubscribe () = env_flag "CAL_EXPLORE_OVERSUBSCRIBE"
+let verdict_cache_default () = env_flag "CAL_VERDICT_CACHE"
+
+let explore_domains () =
+  match Sys.getenv_opt "CAL_EXPLORE_DOMAINS" with
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n when n >= 1 -> n
+      | _ -> 1)
+  | None -> 1
+
+let explore_strategy () = Sys.getenv_opt "CAL_EXPLORE_STRATEGY"

@@ -1,5 +1,7 @@
-(** Sizing heuristics for the search-side hash tables and the numeric
-    knobs read from the environment, in one place.
+(** Sizing heuristics for the search-side hash tables and every knob
+    read from the environment, in one place: no other module of the
+    library reads an environment variable. Every reader consults the
+    environment afresh on each call.
 
     The checkers ({!Cal_checker}, {!Lin_checker}, {!Interval_lin})
     memoize failed search states in hash tables whose initial sizes are
@@ -28,3 +30,21 @@ val explore_donation_min_height : unit -> int
     [CAL_EXPLORE_DONATE_MIN] (a non-negative integer; default [2]).
     Larger values make chunks coarser — fewer, bigger steals; [0] lets
     even pre-leaf nodes be donated. *)
+
+val explore_oversubscribe : unit -> bool
+(** [CAL_EXPLORE_OVERSUBSCRIBE] is on ([1]/[true]/[yes]/[on]): the
+    parallel explorer spawns as many worker domains as requested, past
+    the hardware's core count ({!Conc.Par_explore.effective_domains}). *)
+
+val verdict_cache_default : unit -> bool
+(** [CAL_VERDICT_CACHE] is on ([1]/[true]/[yes]/[on]): black-box checks
+    that do not say otherwise share a {!Verdict_cache}. *)
+
+val explore_domains : unit -> int
+(** Default worker-domain count of the obligation checks, from
+    [CAL_EXPLORE_DOMAINS] (an integer [>= 1], surrounding blanks allowed;
+    unset or invalid means [1]). *)
+
+val explore_strategy : unit -> string option
+(** The raw [CAL_EXPLORE_STRATEGY] string, unparsed: the strategy type
+    lives above this library ({!Conc.Explore.strategy_of_string}). *)

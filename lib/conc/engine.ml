@@ -1,6 +1,9 @@
 (* Exploration statistics shared by every engine (the DFS of
-   {!Par_explore}, {!Dpor}, the {!Sampler}), the control exceptions the
-   engines use to cut a search, and the environment-flag reader. *)
+   {!Par_explore}, {!Dpor}, the {!Sampler}), the schedule cost models of
+   the bounded searches, and the control exceptions the engines use to cut
+   a search. *)
+
+type cost_model = Preemption | Delay
 
 type stats = {
   runs : int;
@@ -69,10 +72,3 @@ let merge_stats a b =
 
 exception Stop
 exception Abandoned
-
-(* -------------------------------------------------------- environment -- *)
-
-let env_flag v =
-  match Sys.getenv_opt v with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false

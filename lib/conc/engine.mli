@@ -1,7 +1,17 @@
 (** Exploration statistics shared by every engine — the schedule-tree
-    DFS of {!Par_explore}, source-DPOR and the bounded strategies of
-    {!Dpor}, the {!Sampler} — together with the exceptions the engines use
-    to cut a search. Most callers want {!Explore}. *)
+    DFS of {!Par_explore}, source-DPOR ({!Dpor}), the {!Sampler} —
+    together with the schedule cost models of the bounded searches and the
+    exceptions the engines use to cut a search. Most callers want
+    {!Explore}. *)
+
+(** How a bounded search prices a schedule, one decision at a time.
+    [Preemption] charges 1 when the previously scheduled thread could
+    continue but another runs (CHESS-style context bounding). [Delay]
+    charges 1 when the chosen thread is not the default continuation —
+    the last thread if it is still enabled, else the first enabled
+    thread. Branch choices of a zero-cost thread are data
+    nondeterminism: cost 0. *)
+type cost_model = Preemption | Delay
 
 type stats = {
   runs : int;           (** terminal outcomes delivered to the callback *)
@@ -21,14 +31,13 @@ type stats = {
       (** threads added to node backtrack sets by race reversal (source
           sets); [0] for the engines that expand every enabled decision *)
   bound_hits : int;
-      (** edges cut by a preemption/delay bound — summed across the
-          iterative-deepening levels, so one statically infeasible edge
-          counts once per level that revisited it *)
+      (** schedule-tree edges cut by a preemption/delay bound; each edge
+          is counted once, by the one task that owns its node *)
   bounded : bool;
       (** the run {e set} is an underapproximation because a schedule bound
-          actually cut at least one edge ([bound_hits > 0] somewhere); a
-          bounded strategy whose bound never bit reports [false] — the
-          exploration was complete *)
+          actually cut at least one edge ([bound_hits > 0]); a bounded
+          search whose bound never bit reports [false] — the exploration
+          was complete *)
   cache_hits : int;
       (** verdict-cache hits, patched in by the caller that owns the cache
           ({!Verify.Obligations}); always [0] straight out of the engine *)
@@ -63,7 +72,3 @@ exception Stop
 exception Abandoned
 (** Raised when [abort] asks the current task to stop; the engine returns
     its partial stats. *)
-
-val env_flag : string -> bool
-(** [env_flag v] is [true] iff the environment variable [v] is set to
-    [1]/[true]/[yes]/[on]. *)

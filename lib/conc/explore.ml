@@ -24,8 +24,6 @@ let merge_stats = Engine.merge_stats
 
 exception Stop = Engine.Stop
 
-let env_flag = Engine.env_flag
-
 (* --------------------------------------------------- exhaustive sweeps --
    Every exhaustive entry point below runs the one schedule-tree DFS of
    {!Par_explore}: [domains = 1] (the default) runs its single worker on
@@ -36,10 +34,12 @@ let env_flag = Engine.env_flag
    task its own accumulator, merged in canonical rank order after the
    join. *)
 
+(* [?preemption_bound:b] is the DFS bounded by [b] preemptions. *)
+let preemption = Option.map (fun b -> (Engine.Preemption, b))
+
 (* The DFS without per-path state. *)
-let sweep ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init ~f ?stop_on
-    () =
-  Par_explore.explore ~domains ?max_runs ?preemption_bound ~restart ~fuel
+let sweep ~domains ?max_runs ?bound ~restart ~fuel ~init ~f ?stop_on () =
+  Par_explore.explore ~domains ?max_runs ?bound ~restart ~fuel
     ~init_path:()
     ~step_path:(fun () _ _ -> ())
     ~init
@@ -48,7 +48,7 @@ let sweep ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init ~f ?stop_on
 
 let exhaustive_collect ?(plan = []) ?(domains = 1) ~setup ~fuel ?max_runs
     ?preemption_bound ~init ~f () =
-  sweep ~domains ?max_runs ?preemption_bound
+  sweep ~domains ?max_runs ?bound:(preemption preemption_bound)
     ~restart:(fun () -> Runner.start ~plan ~setup ())
     ~fuel ~init ~f ()
 
@@ -64,7 +64,7 @@ let exhaustive ?plan ?domains ~setup ~fuel ?max_runs ?preemption_bound ~f () =
 let exhaustive_durable ~plan ?(domains = 1) ~setup ~fuel ?max_runs
     ?preemption_bound ~f () =
   fst
-    (sweep ~domains ?max_runs ?preemption_bound
+    (sweep ~domains ?max_runs ?bound:(preemption preemption_bound)
        ~restart:(fun () -> Runner.start_durable ~plan ~setup ())
        ~fuel
        ~init:(fun () -> ())
@@ -137,7 +137,7 @@ let random ~setup ~fuel ~runs ~seed ~f () =
 let check_all ?(plan = []) ?(domains = 1) ~setup ~fuel ?max_runs
     ?preemption_bound ~p () =
   let stats, accs =
-    sweep ~domains ?max_runs ?preemption_bound
+    sweep ~domains ?max_runs ?bound:(preemption preemption_bound)
       ~restart:(fun () -> Runner.start ~plan ~setup ())
       ~fuel
       ~init:(fun () -> ref None)
@@ -195,22 +195,28 @@ let strategy_to_string = function
   | Preemption_bounded { bound } -> Fmt.str "preemption:%d" bound
   | Delay_bounded { bound } -> Fmt.str "delay:%d" bound
 
-(* Root-split composition with the parallel front: fully expand the root
-   frontier and hand each root decision to one engine instance as a
-   rank-ordered task. Sound for DPOR because full expansion is a superset
-   of any backtrack set the analysis could compute at the root, so race
-   reversals never need to reach into a task's frozen prefix; the split is
-   applied identically at [domains = 1], so reports are byte-identical
-   across domain counts by construction (per-task run sets don't depend on
-   which worker claims the task). The cost is bounded reduction loss at
-   the root only: at most a factor of the root frontier width. *)
+(* The bounded strategies are the DFS with a schedule bound, so they share
+   its dynamic work stealing and rank-ordered merge. DPOR composes with the
+   parallel front by root-splitting: fully expand the root frontier and
+   hand each root decision to one engine instance as a rank-ordered task.
+   That is sound because full expansion is a superset of any backtrack set
+   the analysis could compute at the root, so race reversals never need to
+   reach into a task's frozen prefix; the split is applied identically at
+   [domains = 1], so reports are byte-identical across domain counts by
+   construction (per-task run sets don't depend on which worker claims the
+   task). The cost is bounded reduction loss at the root only: at most a
+   factor of the root frontier width. *)
 let exhaustive_strategy_collect ?(plan = []) ~strategy ?(domains = 1) ~setup
     ~fuel ?max_runs ~init ~f () =
+  let restart () = Runner.start ~plan ~setup () in
+  let bounded bound =
+    sweep ~domains ?max_runs ~bound ~restart ~fuel ~init ~f ()
+  in
   match strategy with
-  | Dfs ->
-      exhaustive_collect ~plan ~domains ~setup ~fuel ?max_runs ~init ~f ()
-  | _ ->
-      let restart () = Runner.start ~plan ~setup () in
+  | Dfs -> exhaustive_collect ~plan ~domains ~setup ~fuel ?max_runs ~init ~f ()
+  | Preemption_bounded { bound } -> bounded (Engine.Preemption, bound)
+  | Delay_bounded { bound } -> bounded (Engine.Delay, bound)
+  | Dpor ->
       let roots = Runner.frontier (restart ()) in
       if roots = [] || fuel = 0 then begin
         let acc = init () in
@@ -227,17 +233,6 @@ let exhaustive_strategy_collect ?(plan = []) ~strategy ?(domains = 1) ~setup
               let remaining = Atomic.make m in
               Some (fun () -> Atomic.fetch_and_add remaining (-1) > 0)
         in
-        let engine ~prefix ~f =
-          match strategy with
-          | Dfs -> assert false
-          | Dpor -> Dpor.source ~restart ~fuel ~prefix ?gate ~f ()
-          | Preemption_bounded { bound } ->
-              Dpor.bounded ~cost:Dpor.Preemption ~bound ~restart ~fuel ~prefix
-                ?gate ~f ()
-          | Delay_bounded { bound } ->
-              Dpor.bounded ~cost:Dpor.Delay ~bound ~restart ~fuel ~prefix
-                ?gate ~f ()
-        in
         let tasks = Array.of_list roots in
         let eff_domains =
           if domains <= 1 then 1
@@ -247,7 +242,11 @@ let exhaustive_strategy_collect ?(plan = []) ~strategy ?(domains = 1) ~setup
         in
         let run_task _rank d =
           let acc = init () in
-          let stats = engine ~prefix:[ d ] ~f:(fun o -> f acc o) in
+          let stats =
+            Dpor.source ~restart ~fuel ~prefix:[ d ] ?gate
+              ~f:(fun o -> f acc o)
+              ()
+          in
           (stats, acc)
         in
         let results, stolen =
@@ -686,7 +685,8 @@ let liveness_core ?(plan = []) ~setup ~fuel ~window ?max_runs ?preemption_bound
     bump_idle ~window idle (enabled_threads frontier) d.thread starving
   in
   let stats, _ =
-    Par_explore.explore ~domains:1 ?max_runs ?preemption_bound
+    Par_explore.explore ~domains:1 ?max_runs
+      ?bound:(preemption preemption_bound)
       ~restart:(fun () -> Runner.start ~plan ~setup ())
       ~fuel ~init_path:([], []) ~step_path
       ~init:(fun () -> ())

@@ -15,7 +15,7 @@
     seed engine, kept as {!exhaustive_via_replay} for cross-checks and
     benchmarks). Reductions of the tree are explicit {!strategy} values:
     source-DPOR (verdict-complete) and the preemption/delay-bounded
-    searches.
+    searches, which are the same DFS with a schedule bound.
 
     {b Parallel exploration.} Every exhaustive entry point takes
     [?domains] (default [1]): with [domains >= 2] the schedule tree is
@@ -51,11 +51,13 @@ type stats = Engine.stats = {
   backtrack_points : int;
       (** threads added to backtrack sets by source-set race reversal *)
   bound_hits : int;
-      (** edges cut by a preemption/delay bound, summed across the
-          iterative-deepening levels *)
+      (** schedule-tree edges cut by a preemption/delay bound (each
+          counted once) *)
   bounded : bool;
       (** a schedule bound actually cut at least one edge: the run set is
-          an honest underapproximation (sound for bug-finding only) *)
+          an honest underapproximation (sound for bug-finding only).
+          [false] means the sweep was exhaustive, whichever strategy or
+          [preemption_bound] produced it *)
   cache_hits : int;
       (** canonical-history verdict-cache hits, patched in by
           {!Verify.Obligations}; always [0] straight out of the engine *)
@@ -88,10 +90,6 @@ val merge_stats : stats -> stats -> stats
 (** Counters sum, [truncated] ors, [max_steps]/[domains_used]/
     [domains_requested] max. *)
 
-val env_flag : string -> bool
-(** [env_flag v] is [true] iff the environment variable [v] is set to
-    [1]/[true]/[yes]/[on]. *)
-
 val exhaustive :
   ?plan:Fault.plan ->
   ?domains:int ->
@@ -112,8 +110,10 @@ val exhaustive :
     away from a thread that could still run (CHESS-style iterative context
     bounding, Musuvathi & Qadeer). Most concurrency bugs manifest within
     very few preemptions, so a small bound gives a dramatically smaller yet
-    highly effective search; it is an underapproximation and is reported as
-    such by the callers.
+    highly effective search; it is an underapproximation, and the stats
+    say so: [bounded = true] with the cut edges in [bound_hits] whenever
+    the bound cut the tree. It is the same sweep as
+    [Preemption_bounded {bound}] under {!exhaustive_strategy}.
 
     [plan] (default none) runs every schedule under that {!Fault.plan}:
     crashed threads contribute no further decisions, so the faulty search
@@ -200,13 +200,15 @@ val check_all :
       of the over-approximated dependence. {e Complete}: verdicts are
       preserved exactly (every pruned schedule has a delivered equivalent
       with byte-identical history, trace and results).
-    - {!Preemption_bounded}/{!Delay_bounded}: full enumeration within a
-      schedule-cost budget, iteratively deepened so level [c] delivers
-      exactly the cost-[c] runs. Honest {e underapproximations}, sound for
-      bug-finding; stats report [bounded = true] only if the bound
-      actually cut an edge.
+    - {!Preemption_bounded}/{!Delay_bounded}: the incremental DFS with a
+      schedule-cost bound ({!Engine.cost_model}): it delivers exactly the
+      full DFS's runs of cost at most [bound], in the same (DFS) order,
+      with the same work stealing. Honest {e underapproximations}, sound
+      for bug-finding; stats report [bounded = true] exactly when the
+      bound cut an edge, so [bounded = false] means the sweep was
+      exhaustive.
 
-    Strategies compose with the parallel front by root-splitting: the root
+    DPOR composes with the parallel front by root-splitting: the root
     frontier is fully expanded (a superset of any backtrack set) and each
     root decision becomes one rank-ordered task, applied identically at
     [domains = 1] — so reports are byte-identical across domain counts by
@@ -237,10 +239,11 @@ val exhaustive_strategy :
   f:(Runner.outcome -> unit) ->
   unit ->
   stats
-(** Explore under [strategy]. [Dfs] delegates to {!exhaustive}; the other
-    strategies root-split as described above (even at [domains = 1]).
-    [max_runs] is enforced through a shared delivery gate; combine it with
-    [domains = 1] when the exact run {e set} must be deterministic. With
+(** Explore under [strategy]. [Dfs] delegates to {!exhaustive}, and the
+    bounded strategies run the same DFS with their bound; [Dpor]
+    root-splits as described above (even at [domains = 1]). [max_runs] is
+    a shared run budget; combine it with [domains = 1] when the exact run
+    {e set} must be deterministic. With
     [domains >= 2] the callback runs concurrently from several domains —
     use {!exhaustive_strategy_collect} unless it is thread-safe. *)
 
@@ -255,10 +258,10 @@ val exhaustive_strategy_collect :
   f:('acc -> Runner.outcome -> unit) ->
   unit ->
   stats * 'acc array
-(** Like {!exhaustive_strategy} with one accumulator per root-split task,
-    returned in canonical rank order (task order = root frontier order),
-    so merging accumulators in array order is deterministic and
-    domain-count-invariant. *)
+(** Like {!exhaustive_strategy} with one accumulator per task (DFS
+    work-stealing task, or DPOR root-split task), returned in canonical
+    rank order, so merging accumulators in array order is deterministic
+    and domain-count-invariant. *)
 
 val races_of :
   ?plan:Fault.plan ->

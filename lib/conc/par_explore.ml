@@ -44,6 +44,13 @@
    failure in canonical schedule order — byte-identical to the
    sequential witness.
 
+   Schedule bounds. With [bound = (model, b)] every node records its cost
+   so far and the thread that may move for free (the default continuation
+   of the {!Engine.cost_model}); an edge that would push the cost past [b]
+   is cut and counted in [bound_hits]. Each edge is examined exactly once,
+   by the task owning its node (frames are donated whole), so the count is
+   domain-count invariant and [bounded] reports whether the bound bit.
+
    Per-path state. Callers that classify a run by how it was reached
    (the liveness watchdog's idle counters) thread an immutable ['path]
    value down each edge with [step_path]; frames and donated chunks carry
@@ -61,9 +68,8 @@ type 'path chunk = {
   k_node_rank_rev : int list;   (* path to the node itself, newest first *)
   k_prefix : Runner.decision list;
   k_depth : int;
-  k_last : int option;
-  k_preemptions : int;
-  k_last_enabled : bool;
+  k_cost : int;
+  k_free : int option;
   k_frontier : Runner.decision list;  (* the node's whole frontier *)
   k_path : 'path;
   k_rest : Runner.decision list;  (* the branches this chunk owns, in order *)
@@ -79,9 +85,8 @@ type 'path frame = {
   fr_depth : int;
   fr_prefix_rev : Runner.decision list;
   fr_rank_rev : int list;
-  fr_last : int option;
-  fr_preemptions : int;
-  fr_last_enabled : bool;
+  fr_cost : int;  (* schedule cost of the path to this node *)
+  fr_free : int option;  (* the thread whose step costs nothing, if any *)
   fr_frontier : Runner.decision list;
   fr_path : 'path;
   mutable fr_rest : Runner.decision list;
@@ -187,12 +192,12 @@ let fail pool e =
    requested domain count. *)
 let effective_domains requested =
   if requested <= 1 then 1
-  else if Engine.env_flag "CAL_EXPLORE_OVERSUBSCRIBE" then requested
+  else if Cal.Tuning.explore_oversubscribe () then requested
   else min requested (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------- explore -- *)
 
-let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
+let explore ~domains ?max_runs ?bound ~restart ~fuel ~init_path
     ~step_path ~init ~f ?stop_on () =
   let requested = max 1 domains in
   let domains = effective_domains requested in
@@ -212,8 +217,26 @@ let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
     | cur -> if not (Atomic.compare_and_set best cur (Some rank)) then lower rank
   in
   let pool = new_pool ~domains in
-  let within_budget used =
-    match preemption_bound with None -> true | Some b -> used <= b
+  let limit = match bound with None -> max_int | Some (_, b) -> b in
+  (* The thread that continues for free at a node whose frontier is
+     [frontier], reached by a step of [last]: the last thread while it is
+     still enabled; otherwise nobody under [Preemption] (every choice is
+     free) and the first enabled thread under [Delay]. *)
+  let free_thread ~last frontier =
+    match bound with
+    | None -> None
+    | Some (model, _) -> (
+        let last_enabled =
+          match last with
+          | Some t ->
+              List.exists (fun (d : Runner.decision) -> d.thread = t) frontier
+          | None -> false
+        in
+        if last_enabled then last
+        else
+          match model with
+          | Engine.Preemption -> None
+          | Engine.Delay -> Some (List.hd frontier).Runner.thread)
   in
   let results = Array.make domains [] in
   let worker w () =
@@ -227,7 +250,7 @@ let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
       let exec = ref (restart ()) in
       List.iter (fun d -> ignore (Runner.step !exec d)) prefix;
       let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
-      let nodes = ref 0 and replayed = ref depth0 in
+      let nodes = ref 0 and replayed = ref depth0 and bound_hits = ref 0 in
       let acc = init () in
       let exception Task_done in
       let deliver frontier path =
@@ -306,9 +329,8 @@ let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
                     k_node_rank_rev = fr.fr_rank_rev;
                     k_prefix = List.rev fr.fr_prefix_rev;
                     k_depth = fr.fr_depth;
-                    k_last = fr.fr_last;
-                    k_preemptions = fr.fr_preemptions;
-                    k_last_enabled = fr.fr_last_enabled;
+                    k_cost = fr.fr_cost;
+                    k_free = fr.fr_free;
                     k_frontier = fr.fr_frontier;
                     k_path = fr.fr_path;
                     k_rest = fr.fr_rest;
@@ -332,25 +354,19 @@ let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
           exec := e
         end
       in
-      let rec expand ~depth ~prefix_rev ~rank_rev ~last ~preemptions ~path =
+      let rec expand ~depth ~prefix_rev ~rank_rev ~last ~cost ~path =
         if abandoned () then raise Engine.Abandoned;
         incr nodes;
         let frontier = Runner.frontier !exec in
         if frontier = [] || depth >= fuel then deliver frontier path
         else begin
-          let last_enabled =
-            List.exists
-              (fun (d : Runner.decision) -> Some d.thread = last)
-              frontier
-          in
           let fr =
             {
               fr_depth = depth;
               fr_prefix_rev = prefix_rev;
               fr_rank_rev = rank_rev;
-              fr_last = last;
-              fr_preemptions = preemptions;
-              fr_last_enabled = last_enabled;
+              fr_cost = cost;
+              fr_free = free_thread ~last frontier;
               fr_frontier = frontier;
               fr_path = path;
               fr_rest = frontier;
@@ -370,27 +386,28 @@ let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
             let idx = fr.fr_next in
             fr.fr_next <- idx + 1;
             let cost =
-              if fr.fr_last_enabled && Some d.thread <> fr.fr_last then
-                fr.fr_preemptions + 1
-              else fr.fr_preemptions
+              match fr.fr_free with
+              | Some t when t <> d.thread -> fr.fr_cost + 1
+              | _ -> fr.fr_cost
             in
-            if within_budget cost then begin
+            if cost > limit then incr bound_hits
+            else begin
               ensure_at fr.fr_depth fr.fr_prefix_rev;
               let path = step_path fr.fr_path fr.fr_frontier d in
               ignore (Runner.step !exec d);
               started := true;
               expand ~depth:(fr.fr_depth + 1)
                 ~prefix_rev:(d :: fr.fr_prefix_rev)
-                ~rank_rev:(idx :: fr.fr_rank_rev) ~last:(Some d.thread)
-                ~preemptions:cost ~path
+                ~rank_rev:(idx :: fr.fr_rank_rev) ~last:(Some d.thread) ~cost
+                ~path
             end;
             iterate fr
       in
       (try
          match task with
          | Root ->
-             expand ~depth:0 ~prefix_rev:[] ~rank_rev:[] ~last:None
-               ~preemptions:0 ~path:init_path
+             expand ~depth:0 ~prefix_rev:[] ~rank_rev:[] ~last:None ~cost:0
+               ~path:init_path
          | Chunk c ->
              (* The donor counted this node when it expanded it; the chunk
                 resumes mid-iteration. *)
@@ -399,9 +416,8 @@ let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
                  fr_depth = c.k_depth;
                  fr_prefix_rev = List.rev c.k_prefix;
                  fr_rank_rev = c.k_node_rank_rev;
-                 fr_last = c.k_last;
-                 fr_preemptions = c.k_preemptions;
-                 fr_last_enabled = c.k_last_enabled;
+                 fr_cost = c.k_cost;
+                 fr_free = c.k_free;
                  fr_frontier = c.k_frontier;
                  fr_path = c.k_path;
                  fr_rest = c.k_rest;
@@ -421,6 +437,8 @@ let explore ~domains ?max_runs ?preemption_bound ~restart ~fuel ~init_path
           max_steps = !max_steps;
           nodes = !nodes;
           replayed_steps = !replayed;
+          bound_hits = !bound_hits;
+          bounded = !bound_hits > 0;
         }
       in
       (rank, stats, acc)

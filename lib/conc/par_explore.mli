@@ -41,7 +41,7 @@ val effective_domains : int -> int
 val explore :
   domains:int ->
   ?max_runs:int ->
-  ?preemption_bound:int ->
+  ?bound:Engine.cost_model * int ->
   restart:(unit -> Runner.exec) ->
   fuel:int ->
   init_path:'path ->
@@ -74,8 +74,14 @@ val explore :
     and reports it as truncated. Which runs are admitted under it is
     scheduling-dependent when [domains >= 2] (callers that need run-set
     determinism pass no budget or one domain). [fuel] counts schedule
-    depth; [preemption_bound] skips edges whose preemption count would
-    exceed it. *)
+    depth.
+
+    [bound = (model, b)] restricts the sweep to the schedules whose cost
+    under [model] ({!Engine.cost_model}) is at most [b]: an edge that
+    would exceed it is cut, and counted once in [bound_hits]. The
+    delivered runs are exactly the unbounded sweep's runs of cost [<= b],
+    in the same order; [bounded] is [true] iff some edge was cut, so a
+    report with [bounded = false] is exhaustive. *)
 
 val map_tasks :
   domains:int -> f:(int -> 'a -> 'b) -> 'a array -> 'b array * int

@@ -27,43 +27,30 @@ type report = {
 
 (* ---------------------------------------------------- parallel knobs --- *)
 
-(* Default worker-domain count, from CAL_EXPLORE_DOMAINS (>= 1). The env
-   override is consumed here — the Obligations layer — and nowhere lower,
-   so library callers of Conc.Explore are never surprised by it. *)
-let env_domains () =
-  match Sys.getenv_opt "CAL_EXPLORE_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> 1)
-  | None -> 1
+(* The CAL_EXPLORE_DOMAINS and CAL_EXPLORE_STRATEGY defaults (read by
+   Tuning) are applied here — the Obligations layer — and nowhere lower,
+   so library callers of Conc.Explore are never surprised by them.
 
-(* Parallel checking is only used on untruncated sweeps: under a shared
+   Parallel checking is only used on untruncated sweeps: under a shared
    [max_runs] budget the admitted run subset is scheduling-dependent, and
    report determinism (runs, problems) is part of this module's contract. *)
 let resolve_domains ~max_runs domains =
   if max_runs <> None then 1
-  else match domains with Some d -> max 1 d | None -> env_domains ()
+  else match domains with Some d -> max 1 d | None -> Tuning.explore_domains ()
 
-(* Default exploration strategy, from CAL_EXPLORE_STRATEGY ("dfs", "dpor",
-   "preemption:N", "delay:N" — see {!Conc.Explore.strategy_of_string}).
-   Consumed here for the same reason as CAL_EXPLORE_DOMAINS; unknown
-   values fall back to the plain DFS. *)
-let env_strategy () =
-  match Sys.getenv_opt "CAL_EXPLORE_STRATEGY" with
-  | None -> Conc.Explore.Dfs
-  | Some s -> (
-      match Conc.Explore.strategy_of_string (String.trim s) with
-      | Some st -> st
-      | None -> Conc.Explore.Dfs)
-
-let resolve_strategy strategy =
-  match strategy with Some s -> s | None -> env_strategy ()
-
-let cache_default () = Conc.Explore.env_flag "CAL_VERDICT_CACHE"
+(* Default exploration strategy ("dfs", "dpor", "preemption:N", "delay:N"
+   — see {!Conc.Explore.strategy_of_string}); unknown values fall back to
+   the plain DFS. *)
+let resolve_strategy = function
+  | Some s -> s
+  | None ->
+      Option.bind (Tuning.explore_strategy ()) Conc.Explore.strategy_of_string
+      |> Option.value ~default:Conc.Explore.Dfs
 
 let new_cache cache =
-  let on = match cache with Some c -> c | None -> cache_default () in
+  let on =
+    match cache with Some c -> c | None -> Tuning.verdict_cache_default ()
+  in
   if on then
     Some (Verdict_cache.create ?capacity:(Tuning.verdict_cache_capacity ()) ())
   else None
@@ -199,8 +186,8 @@ let collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
         Conc.Explore.exhaustive_collect ~domains ~setup ~fuel ?max_runs
           ?preemption_bound ~init:new_acc ~f:(record check) ()
     | strategy ->
-        (* the legacy DFS [preemption_bound] pruner is subsumed by the
-           [Preemption_bounded] strategy; off the Dfs path it is ignored
+        (* [preemption_bound] is the [Dfs] path's spelling of
+           [Preemption_bounded]; under any other strategy it is ignored
            rather than composed, so the strategy alone defines the run set *)
         Conc.Explore.exhaustive_strategy_collect ~strategy ~domains ~setup
           ~fuel ?max_runs ~init:new_acc ~f:(record check) ()

@@ -30,13 +30,14 @@
     take [?strategy] (default: the [CAL_EXPLORE_STRATEGY] environment
     variable parsed with {!Conc.Explore.strategy_of_string}, else
     {!Conc.Explore.Dfs}): [Dpor] runs the verdict-preserving source-DPOR
-    reduction, [Preemption_bounded]/[Delay_bounded] run the iteratively
-    deepened bounded searches — sound for bug-finding, with the report's
-    [exploration] honestly flagging [bounded = true] whenever the bound
-    actually cut an edge. Off the [Dfs] path the legacy
-    [preemption_bound] pruner is ignored (the strategy alone defines the
-    run set). The fault, durable and liveness sweeps always run the
-    plain engine.
+    reduction, [Preemption_bounded]/[Delay_bounded] run the bounded DFS
+    — sound for bug-finding only. [?preemption_bound:b] is the [Dfs]
+    path's spelling of [Preemption_bounded {bound = b}] (the same sweep,
+    and the only bound the fault, durable and liveness checks take); off
+    the [Dfs] path it is ignored, so the strategy alone defines the run
+    set. Whichever spelling is used, the report's [exploration] says
+    [bounded = true] exactly when the bound cut an edge, so
+    [bounded = false] means the check was exhaustive.
 
     {b Verdict cache.} The black-box checks ({!check_black_box},
     {!check_durable}, {!check_durable_with_faults}) take [?cache]

@@ -409,24 +409,13 @@ let explore_cost ~engine ~setup ~fuel ?max_runs ?preemption_bound () =
         ( "dpor",
           Explore.exhaustive_strategy ~strategy:Explore.Dpor ~setup ~fuel
             ?max_runs ~f:ignore () )
-    | `Preemption_bounded b ->
-        ( Printf.sprintf "preemption:%d" b,
-          Explore.exhaustive_strategy
-            ~strategy:(Explore.Preemption_bounded { bound = b })
-            ~setup ~fuel ?max_runs ~f:ignore () )
-    | `Delay_bounded b ->
-        ( Printf.sprintf "delay:%d" b,
-          Explore.exhaustive_strategy
-            ~strategy:(Explore.Delay_bounded { bound = b })
-            ~setup ~fuel ?max_runs ~f:ignore () )
   in
   let steps_executed =
     match engine with
     | `Replay ->
         (* the replay engine executes exactly the steps it replays *)
         stats.Explore.replayed_steps
-    | `Incremental | `Parallel _ | `Dpor | `Preemption_bounded _
-    | `Delay_bounded _ ->
+    | `Incremental | `Parallel _ | `Dpor ->
         (* one fresh step per tree edge, plus the backtracking replays *)
         max 0 (stats.Explore.nodes - 1) + stats.Explore.replayed_steps
   in

@@ -103,8 +103,7 @@ val pp_result : Format.formatter -> result -> unit
 
 type explore_cost = {
   engine : string;
-      (** "replay" | "incremental" | "parallel-N"
-          | "dpor" | "preemption:N" | "delay:N" *)
+      (** "replay" | "incremental" | "parallel-N" | "dpor" *)
   explored_runs : int;    (** terminal outcomes delivered *)
   nodes : int;            (** schedule-tree nodes visited *)
   steps_executed : int;   (** program steps executed in total *)
@@ -112,7 +111,7 @@ type explore_cost = {
   sleep_pruned : int;     (** DPOR sleep-set skips *)
   races_found : int;      (** dependent step pairs the HB analysis flagged *)
   backtrack_points : int; (** source-DPOR backtrack insertions *)
-  bound_hits : int;       (** branches cut at the final deepening level *)
+  bound_hits : int;       (** edges cut by [preemption_bound] *)
   explore_bounded : bool;
       (** the bound actually cut an edge — the run set is an
           underapproximation *)
@@ -130,9 +129,7 @@ val explore_cost :
     [ `Replay
     | `Incremental
     | `Parallel of int
-    | `Dpor
-    | `Preemption_bounded of int
-    | `Delay_bounded of int ] ->
+    | `Dpor ] ->
   setup:(Conc.Ctx.t -> Conc.Runner.program) ->
   fuel:int ->
   ?max_runs:int ->
@@ -144,9 +141,8 @@ val explore_cost :
     incremental engine
     spread over [d] worker domains ({!Conc.Par_explore}) — same runs and
     nodes, [replayed_steps] grows by the task-prefix replays. [`Dpor]
-    and the bounded engines run {!Conc.Explore.exhaustive_strategy}
-    ([preemption_bound] is ignored there — the strategy defines the run
-    set). *)
+    runs {!Conc.Explore.exhaustive_strategy} ([preemption_bound] is
+    ignored there — the strategy defines the run set). *)
 
 val pp_explore_cost : Format.formatter -> explore_cost -> unit
 

@@ -1,8 +1,9 @@
-(* Tests for the source-DPOR engine and the bounded iterative-deepening
-   strategies: vector-clock dependency on hand-built races, race reporting
-   on witness schedules, verdict agreement with the unpruned engine on
-   every standard scenario, bug-finding under the bounds, exact-partition
-   honesty of the deepening levels, and strategy parsing. *)
+(* Tests for the source-DPOR engine and the bounded strategies:
+   vector-clock dependency on hand-built races, race reporting on witness
+   schedules, verdict agreement with the unpruned engine on every standard
+   scenario, bug-finding under the bounds, bounded sweeps against the
+   unbounded replay oracle, honest [bounded]/[bound_hits] reporting, and
+   strategy parsing. *)
 
 open Cal
 open Conc
@@ -257,7 +258,7 @@ let test_bounded_strategies_verdicts () =
         ])
     (agreement_cases ())
 
-(* ------------------------------------------------ deepening honesty ---- *)
+(* ------------------------------------------------- bounded sweeps ---- *)
 
 (* the lost-update client: two read-increment-write threads over a tracked
    cell — the canonical DPOR smoke (it must NOT be pruned away) *)
@@ -289,32 +290,107 @@ let test_dpor_keeps_lost_update () =
   check_bool "races were found" true (stats.Explore.races_found > 0);
   check_bool "dpor stats are not bounded" false stats.Explore.bounded
 
-(* A bound high enough to never cut an edge must enumerate exactly the DFS
-   run set (the deepening levels partition it) and honestly report
-   [bounded = false]; a cutting bound reports [bounded = true]. *)
-let test_deepening_partitions_exactly () =
-  let fuel = 8 in
-  let dfs =
-    Explore.exhaustive ~setup:lost_update_setup ~fuel ~f:ignore ()
+(* The cost of a whole schedule, recomputed here by replaying it step by
+   step: a preemption is a switch away from a thread that could still run;
+   a delay is any choice other than the default thread — the last thread
+   while it is enabled, else the first enabled thread. *)
+let schedule_cost ~delay ~setup schedule =
+  let e = Runner.start ~setup () in
+  let cost, _ =
+    List.fold_left
+      (fun (cost, last) (d : Runner.decision) ->
+        let frontier = Runner.frontier e in
+        let enabled t =
+          List.exists (fun (x : Runner.decision) -> x.thread = t) frontier
+        in
+        let default =
+          match last with
+          | Some t when enabled t -> Some t
+          | _ when delay -> Some (List.hd frontier).Runner.thread
+          | _ -> None
+        in
+        ignore (Runner.step e d);
+        let step = match default with Some t when t <> d.thread -> 1 | _ -> 0 in
+        (cost + step, Some d.thread))
+      (0, None) schedule
   in
+  cost
+
+let schedules_of sweep =
+  let acc = ref [] in
+  let stats =
+    sweep (fun (o : Runner.outcome) -> acc := o.Runner.schedule :: !acc)
+  in
+  (stats, List.rev !acc)
+
+(* A bounded sweep delivers exactly the unbounded oracle's schedules whose
+   cost is within the bound, in the oracle's order; an uncut bound is the
+   whole DFS and says so ([bounded = false], no hits), and delay bound 0 is
+   the single default run. *)
+let test_bounded_matches_oracle () =
+  let cases =
+    [
+      ("lost-update", lost_update_setup, 8);
+      (let s = S.exchanger_pair () in (s.name, s.setup, 10));
+      (let s = S.treiber_push_pop () in (s.name, s.setup, 10));
+      (let s = S.sync_queue_pair () in (s.name, s.setup, 10));
+      (let s = S.faulty_stack () in (s.name, s.setup, 10));
+    ]
+  in
+  List.iter
+    (fun (name, setup, fuel) ->
+      let _, oracle =
+        schedules_of (fun f -> Explore.exhaustive_via_replay ~setup ~fuel ~f ())
+      in
+      List.iter
+        (fun (delay, strategy_of) ->
+          let costs =
+            List.map (fun s -> (s, schedule_cost ~delay ~setup s)) oracle
+          in
+          let max_cost = List.fold_left (fun m (_, c) -> max m c) 0 costs in
+          List.iter
+            (fun bound ->
+              let strategy = strategy_of bound in
+              let label =
+                Fmt.str "%s %s" name (Explore.strategy_to_string strategy)
+              in
+              let stats, got =
+                schedules_of (fun f ->
+                    Explore.exhaustive_strategy ~strategy ~setup ~fuel ~f ())
+              in
+              let want =
+                List.filter_map
+                  (fun (s, c) -> if c <= bound then Some s else None)
+                  costs
+              in
+              check_bool (label ^ ": the oracle's schedules within the bound")
+                true (got = want);
+              check_bool (label ^ ": bounded iff some schedule was cut")
+                (List.length want < List.length oracle)
+                stats.Explore.bounded;
+              check_bool (label ^ ": hits iff bounded") stats.Explore.bounded
+                (stats.Explore.bound_hits > 0))
+            [ 0; 1; 2; max_cost ])
+        [
+          (false, fun bound -> Explore.Preemption_bounded { bound });
+          (true, fun bound -> Explore.Delay_bounded { bound });
+        ])
+    cases;
+  let fuel = 8 in
+  let dfs = Explore.exhaustive ~setup:lost_update_setup ~fuel ~f:ignore () in
   List.iter
     (fun strategy ->
       let st =
         Explore.exhaustive_strategy ~strategy ~setup:lost_update_setup ~fuel
           ~f:ignore ()
       in
-      check_bool
-        (Fmt.str "%s: uncut deepening covers the DFS run set exactly"
-           (Explore.strategy_to_string strategy))
-        true
-        (st.Explore.runs = dfs.Explore.runs);
-      check_bool
-        (Fmt.str "%s: uncut deepening is not 'bounded'"
-           (Explore.strategy_to_string strategy))
-        false st.Explore.bounded;
+      let name = Explore.strategy_to_string strategy in
       Alcotest.(check int)
-        (Fmt.str "%s: no bound hits" (Explore.strategy_to_string strategy))
-        0 st.Explore.bound_hits)
+        (name ^ ": an uncut bound delivers the DFS run set")
+        dfs.Explore.runs st.Explore.runs;
+      check_bool (name ^ ": an uncut bound is not 'bounded'") false
+        st.Explore.bounded;
+      Alcotest.(check int) (name ^ ": no bound hits") 0 st.Explore.bound_hits)
     [
       Explore.Preemption_bounded { bound = 64 };
       Explore.Delay_bounded { bound = 64 };
@@ -326,8 +402,47 @@ let test_deepening_partitions_exactly () =
   in
   check_bool "a cutting bound reports bounded=true" true cut.Explore.bounded;
   check_bool "a cutting bound counts its hits" true (cut.Explore.bound_hits > 0);
-  check_bool "delay bound 0 is the single default run" true
-    (cut.Explore.runs = 1)
+  Alcotest.(check int) "delay bound 0 is the single default run" 1
+    cut.Explore.runs
+
+(* [?preemption_bound] is the same bounded sweep as [Preemption_bounded],
+   and reports its cuts the same way through every entry point: the trio
+   at its own fuel is cut by bound 4, and a bound of at least the fuel
+   (here at a fuel small enough to enumerate) never bites. *)
+let test_preemption_bound_is_honest () =
+  let s = S.exchanger_trio () in
+  let via_check_object ?(fuel = s.fuel) preemption_bound =
+    match
+      (O.check_object ~domains:1 ~setup:s.setup ~spec:s.spec ~view:s.view
+         ~fuel ~preemption_bound ())
+        .O.exploration
+    with
+    | Some e -> e
+    | None -> Alcotest.fail "check_object reported no exploration stats"
+  in
+  let via_exhaustive ?(fuel = s.fuel) preemption_bound =
+    Explore.exhaustive ~setup:s.setup ~fuel ~preemption_bound ~f:ignore ()
+  in
+  let small = 8 in
+  List.iter
+    (fun (entry, (e : Explore.stats)) ->
+      check_bool (entry ^ ": bound 4 cuts the trio") true e.Explore.bounded;
+      Alcotest.(check int)
+        (entry ^ ": bound 4 hits")
+        118_410 e.Explore.bound_hits)
+    [
+      ("check_object", via_check_object 4); ("exhaustive", via_exhaustive 4);
+    ];
+  List.iter
+    (fun (entry, (e : Explore.stats)) ->
+      check_bool (entry ^ ": bound = fuel is exhaustive") false
+        e.Explore.bounded;
+      Alcotest.(check int) (entry ^ ": bound = fuel has no hits") 0
+        e.Explore.bound_hits)
+    [
+      ("check_object", via_check_object ~fuel:small small);
+      ("exhaustive", via_exhaustive ~fuel:small small);
+    ]
 
 (* CAL_EXPLORE_STRATEGY drives the obligation checks; invalid values fall
    back to the DFS. *)
@@ -376,11 +491,12 @@ let () =
           t "dpor agrees with dfs on every scenario" test_dpor_agrees_with_dfs;
           t "bounded strategies: sound accepts, bugs within bound 2"
             test_bounded_strategies_verdicts;
-        ] );
-      ( "deepening",
-        [
           t "dpor keeps the lost update" test_dpor_keeps_lost_update;
-          t "deepening partitions the run set exactly"
-            test_deepening_partitions_exactly;
+        ] );
+      ( "bounded",
+        [
+          t "sweeps equal the oracle's cheap runs" test_bounded_matches_oracle;
+          t "preemption_bound reports its cuts"
+            test_preemption_bound_is_honest;
         ] );
     ]

@@ -322,8 +322,10 @@ let test_dpor_domain_invariant () =
       (S.faulty_exchanger (), 10);
     ]
 
-(* The bounded engines share the root-split front; their (honestly bounded)
-   run sets must also be domain-count-invariant. *)
+(* The bounded strategies run the work-stealing DFS with a schedule bound;
+   their (honestly bounded) run sets must be domain-count-invariant, and so
+   must the cut count: each cut edge is counted by the one task owning its
+   node, whichever worker runs it. *)
 let test_bounded_domain_invariant () =
   let s = S.faulty_stack () in
   List.iter
@@ -339,12 +341,22 @@ let test_bounded_domain_invariant () =
       check_invariant
         (Fmt.str "%s (%s)" s.name (Explore.strategy_to_string strategy))
         reports;
+      let cuts (r : O.report) =
+        Option.map
+          (fun (e : Explore.stats) -> (e.bounded, e.bound_hits))
+          r.exploration
+      in
       List.iter
         (fun (d, r) ->
           check_bool
             (Fmt.str "%s: %s rejects at domains=%d" s.name
                (Explore.strategy_to_string strategy) d)
-            false (O.ok r))
+            false (O.ok r);
+          check_bool
+            (Fmt.str "%s: %s cuts the same edges at domains=%d" s.name
+               (Explore.strategy_to_string strategy) d)
+            true
+            (cuts r = cuts (snd (List.hd reports))))
         reports)
     [
       Explore.Preemption_bounded { bound = 2 };
