@@ -32,6 +32,8 @@ cross-check-dpor:
 check-parallel:
 	CAL_EXPLORE_DOMAINS=2 CAL_EXPLORE_OVERSUBSCRIBE=1 CAL_VERDICT_CACHE=1 dune runtest --force
 
+# Bechamel tables plus every figure at reduced fuel ("quick"); its JSON goes
+# to _build/bench-smoke/, never over the committed BENCH_*.json.
 bench:
 	dune exec bench/main.exe -- quick
 
@@ -84,6 +86,10 @@ bench-serve-durable:
 	dune exec bench/main.exe -- serve-durable
 
 # Low-fuel variant of the same figures, for CI. Includes the crash sweep.
+# Writes its JSON to _build/bench-smoke/: the committed BENCH_*.json in the
+# repo root hold the full-fuel figures and stay untouched (CI checks this
+# with git diff). The reduced serve benches (bench/main.exe serve-smoke and
+# serve-durable-smoke) write there too.
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 

@@ -9,10 +9,12 @@
      and the exchanger/synchronous-queue success-rate curves.
 
    Run: dune exec bench/main.exe            (everything)
-        dune exec bench/main.exe -- quick   (fewer samples)
+        dune exec bench/main.exe -- quick   (fewer samples; figures go to
+                                             _build/bench-smoke/)
         dune exec bench/main.exe -- faults  (only B10-B14, full fuel,
                                              regenerates BENCH_*.json)
-        dune exec bench/main.exe -- smoke   (only B10-B14, low fuel — CI)
+        dune exec bench/main.exe -- smoke   (only B10-B14, low fuel — CI;
+                                             writes _build/bench-smoke/)
         dune exec bench/main.exe -- crash   (only B13, full fuel,
                                              regenerates BENCH_crash.json)
         dune exec bench/main.exe -- parallel (only B14, full fuel,
@@ -24,13 +26,15 @@
         dune exec bench/main.exe -- serve   (only B16, full budget,
                                              regenerates BENCH_serve.json)
         dune exec bench/main.exe -- serve-smoke (B16 at a reduced CI
-                                             budget, same assertions)
+                                             budget, same assertions;
+                                             writes _build/bench-smoke/)
         dune exec bench/main.exe -- serve-durable (B17, full budget,
                                              regenerates
                                              BENCH_serve_durable.json)
         dune exec bench/main.exe -- serve-durable-smoke (B17 at a
                                              reduced CI budget, same
-                                             assertions)
+                                             assertions; writes
+                                             _build/bench-smoke/)
         dune exec bench/main.exe -- fuzz    (fixed-seed sampled pass over
                                              every scenario; fails on any
                                              verdict mismatch) *)
@@ -57,6 +61,24 @@ let mode =
   else `Full
 
 let quick = Array.exists (fun a -> a = "quick") Sys.argv || mode = `Smoke
+
+(* Where a figure's JSON goes. The full-fuel modes regenerate the
+   committed BENCH_*.json in the working directory (the repo root); the
+   reduced ones (smoke, quick, serve-smoke, serve-durable-smoke) write
+   their low-fuel figures under _build/bench-smoke/ instead, so a CI or
+   local smoke run never overwrites the figures EXPERIMENTS.md cites. *)
+let bench_path name =
+  let reduced =
+    quick || mode = `Serve_smoke || mode = `Serve_durable_smoke
+  in
+  if not reduced then name
+  else begin
+    let dir = Filename.concat "_build" "bench-smoke" in
+    List.iter
+      (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+      [ "_build"; dir ];
+    Filename.concat dir name
+  end
 
 (* ---------------------------------------------------------- fixtures -- *)
 
@@ -121,10 +143,13 @@ let b3 =
                 ())));
     Test.make ~name:"explore/random-100-runs"
       (Staged.stage (fun () ->
-           ignore
-             (Conc.Explore.random ~setup:trio.setup ~fuel:trio.fuel ~runs:100 ~seed:3L
-                ~f:(fun _ -> ())
-                ())));
+           let rng = Conc.Rng.create ~seed:3L in
+           for _ = 1 to 100 do
+             ignore
+               (Conc.Sampler.run ~kind:Conc.Sampler.Random_walk
+                  ~target:(Conc.Runner.Program trio.setup) ~fuel:trio.fuel ~rng
+                  ())
+           done));
   ]
 
 (* B5 — modularity payoff: verifying the elimination stack against the
@@ -326,7 +351,8 @@ let figure_fault_sweep () =
           crashes)
       impls
   in
-  let oc = open_out "BENCH_faults.json" in
+  let path = bench_path "BENCH_faults.json" in
+  let oc = open_out path in
   let json_row (name, c, (r : Workloads.Metrics.result)) =
     Printf.sprintf
       "    {\"impl\": %S, \"threads\": %d, \"crashes\": %d, \"fuel\": %d, \
@@ -338,7 +364,7 @@ let figure_fault_sweep () =
   Printf.fprintf oc "{\n  \"bench\": \"fault_sweep\",\n  \"rows\": [\n%s\n  ]\n}\n"
     (String.concat ",\n" (List.map json_row rows));
   close_out oc;
-  Fmt.pr "# rows written to BENCH_faults.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* B11 — timeout/liveness sweep. Two parts: (i) the timed exchanger's
    swap-vs-timeout rate as the per-round deadline grows, with and without a
@@ -384,7 +410,8 @@ let figure_timeouts () =
     scen.S.name window plans_explored live.Conc.Explore.live_runs
     live.Conc.Explore.live_completed live.Conc.Explore.live_deadlocked
     live.Conc.Explore.live_starved live.Conc.Explore.live_livelocked;
-  let oc = open_out "BENCH_timeouts.json" in
+  let path = bench_path "BENCH_timeouts.json" in
+  let oc = open_out path in
   let json_row (deadline, pname, (r : Workloads.Metrics.result)) =
     Printf.sprintf
       "    {\"deadline\": %d, \"plan\": %S, \"threads\": %d, \"fuel\": %d, \
@@ -408,7 +435,7 @@ let figure_timeouts () =
     live.Conc.Explore.live_completed live.Conc.Explore.live_deadlocked
     live.Conc.Explore.live_starved live.Conc.Explore.live_livelocked;
   close_out oc;
-  Fmt.pr "# rows written to BENCH_timeouts.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* B12 — exploration engine cost: the same bounded state spaces explored by
    the seed's whole-prefix-replay engine and the incremental engine, across
@@ -488,7 +515,8 @@ let figure_explore () =
         "# %-26s fuel=%d: %5.1fx fewer steps incremental@." s.name max_fuel
         (float_of_int replay /. float_of_int (max 1 (steps "incremental"))))
     scenarios;
-  let oc = open_out "BENCH_explore.json" in
+  let path = bench_path "BENCH_explore.json" in
+  let oc = open_out path in
   let json_row (name, fuel, bound, (c : Workloads.Metrics.explore_cost), ms) =
     Printf.sprintf
       "    {\"scenario\": %S, \"fuel\": %d, \"preemption_bound\": %s, \
@@ -502,7 +530,7 @@ let figure_explore () =
     "{\n  \"bench\": \"explore_engines\",\n  \"rows\": [\n%s\n  ]\n}\n"
     (String.concat ",\n" (List.map json_row rows));
   close_out oc;
-  Fmt.pr "# rows written to BENCH_explore.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* B18 — source-DPOR reduction and delay-bounded bug depth. Two claims,
    asserted in-process so the benchmark doubles as a regression gate:
@@ -579,7 +607,8 @@ let figure_dpor () =
         (s.name, b, runs))
       (S.faulty ())
   in
-  let oc = open_out "BENCH_dpor.json" in
+  let path = bench_path "BENCH_dpor.json" in
+  let oc = open_out path in
   let engine_row (name, (c : Workloads.Metrics.explore_cost), ms) =
     Printf.sprintf
       "    {\"scenario\": %S, \"fuel\": %d, \"engine\": %S, \"runs\": %d, \
@@ -598,7 +627,7 @@ let figure_dpor () =
     (String.concat ",\n" (List.map engine_row reduction_rows))
     (String.concat ",\n" (List.map bound_row bound_rows));
   close_out oc;
-  Fmt.pr "# rows written to BENCH_dpor.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* B13 — crash-recovery sweep: durable Treiber stack throughput as whole-
    system crashes and recovery cost grow. Every flush is an extra step on
@@ -628,7 +657,8 @@ let figure_crash () =
           [ 0; 16; 64 ])
       [ 0; 1; 2; 4 ]
   in
-  let oc = open_out "BENCH_crash.json" in
+  let path = bench_path "BENCH_crash.json" in
+  let oc = open_out path in
   let json_row (crashes, recovery_cost, (r : Workloads.Metrics.result)) =
     Printf.sprintf
       "    {\"crashes\": %d, \"recovery_cost\": %d, \"threads\": %d, \
@@ -642,7 +672,7 @@ let figure_crash () =
     "{\n  \"bench\": \"crash_recovery_sweep\",\n  \"rows\": [\n%s\n  ]\n}\n"
     (String.concat ",\n" (List.map json_row rows));
   close_out oc;
-  Fmt.pr "# rows written to BENCH_crash.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* B14 — parallel exploration with the canonical-history verdict cache:
    black-box verification wall-clock across worker-domain counts, cache on
@@ -863,7 +893,8 @@ let figure_parallel () =
        :: (List.map (fun (_, (row, _, _)) -> row) storm_raw_cells
            @ List.map (fun (_, (row, _, _)) -> row) storm_cells))
   in
-  let oc = open_out "BENCH_parallel.json" in
+  let path = bench_path "BENCH_parallel.json" in
+  let oc = open_out path in
   let json_row
       (name, fuel, domains, used, cache, runs, hits, stolen, ms, speedup) =
     Printf.sprintf
@@ -887,7 +918,7 @@ let figure_parallel () =
   (match prev_oversub with
   | Some v -> Unix.putenv "CAL_EXPLORE_OVERSUBSCRIBE" v
   | None -> if oversub then Unix.putenv "CAL_EXPLORE_OVERSUBSCRIBE" "");
-  Fmt.pr "# rows written to BENCH_parallel.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* B15 — sampled checking: detection rate and witness size vs run budget,
    per sampler kind (random walk, PCT, preemption-bounded random), over
@@ -973,7 +1004,8 @@ let figure_sampling () =
           budgets)
       kinds
   in
-  let oc = open_out "BENCH_sampling.json" in
+  let path = bench_path "BENCH_sampling.json" in
+  let oc = open_out path in
   let json_row (kind, budget, points, detected, rate, mruns, mwitness, mremoved)
       =
     Printf.sprintf
@@ -988,7 +1020,7 @@ let figure_sampling () =
     (List.length scenarios) (List.length seeds)
     (String.concat ",\n" (List.map json_row cells));
   close_out oc;
-  Fmt.pr "# rows written to BENCH_sampling.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* B16 — the streaming monitor service (lib/service): sustained ingest
    rate and verdict latency with >= 1000 concurrent object sessions.
@@ -1138,7 +1170,8 @@ let figure_serve ~reduced () =
   if level_of overload = "full" then
     Fmt.failwith "serve bench: overload cell never left the full level";
   let rows = [ sequential; concurrent; overload ] in
-  let oc = open_out "BENCH_serve.json" in
+  let path = bench_path "BENCH_serve.json" in
+  let oc = open_out path in
   let json_row
       (cell, sessions, ops, elapsed, ops_per_sec, p50, p99, level, changes,
        desyncs) =
@@ -1155,7 +1188,7 @@ let figure_serve ~reduced () =
     reduced
     (String.concat ",\n" (List.map json_row rows));
   close_out oc;
-  Fmt.pr "# rows written to BENCH_serve.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* B17 — durability tax and recovery-time scaling of the write-ahead
    journal (lib/service/journal). Two tables in BENCH_serve_durable.json:
@@ -1363,7 +1396,8 @@ let figure_serve_durable ~reduced () =
              r.Service.Journal.replayed, ms))
       [ 0; rec_n / 10; rec_n / 100 ]
   in
-  let oc = open_out "BENCH_serve_durable.json" in
+  let path = bench_path "BENCH_serve_durable.json" in
+  let oc = open_out path in
   let overhead_json (name, elapsed, fps, pct) =
     Printf.sprintf
       "    {\"variant\": %S, \"frames\": %d, \"elapsed_s\": %.4f, \
@@ -1385,7 +1419,7 @@ let figure_serve_durable ~reduced () =
     (String.concat ",\n" (List.map recovery_json recovery_rows));
   close_out oc;
   rm_rf scratch;
-  Fmt.pr "# rows written to BENCH_serve_durable.json@."
+  Fmt.pr "# rows written to %s@." path
 
 (* The fuzz pass (make fuzz-smoke): one fixed-seed sampled check per
    scenario — every positive must come out clean, every faulty one must be

@@ -25,18 +25,20 @@ let () =
   (* force the elimination path: let both threads race on the central stack
      first, then meet in the exchanger. A random schedule finds it. *)
   let outcome =
-    Conc.Runner.run_random
-      ~setup:(fun ctx' ->
-        let es' = Elimination_stack.create ~k:1 ~slot_strategy:Elim_array.All_slots ctx' in
-        {
-          Conc.Runner.threads =
-            [|
-              Elimination_stack.push es' ~tid:(tid 0) (Value.int 5);
-              Elimination_stack.pop es' ~tid:(tid 1);
-            |];
-          observe = None;
-          on_label = None;
-        })
+    Conc.Sampler.run ~kind:Conc.Sampler.Random_walk
+      ~target:
+        (Conc.Runner.Program
+           (fun ctx' ->
+             let es' = Elimination_stack.create ~k:1 ~slot_strategy:Elim_array.All_slots ctx' in
+             {
+               Conc.Runner.threads =
+                 [|
+                   Elimination_stack.push es' ~tid:(tid 0) (Value.int 5);
+                   Elimination_stack.pop es' ~tid:(tid 1);
+                 |];
+               observe = None;
+               on_label = None;
+             }))
       ~fuel:60
       ~rng:(Conc.Rng.create ~seed:7L) ()
   in

@@ -13,15 +13,17 @@ module S = Workloads.Scenarios
 let () =
   let tid = Ids.Tid.of_int in
   let outcome =
-    Conc.Runner.run_random
-      ~setup:(fun ctx ->
-        let q = Sync_queue.create ctx in
-        {
-          Conc.Runner.threads =
-            [| Sync_queue.put q ~tid:(tid 0) (Value.int 7); Sync_queue.take q ~tid:(tid 1) |];
-          observe = None;
-          on_label = None;
-        })
+    Conc.Sampler.run ~kind:Conc.Sampler.Random_walk
+      ~target:
+        (Conc.Runner.Program
+           (fun ctx ->
+             let q = Sync_queue.create ctx in
+             {
+               Conc.Runner.threads =
+                 [| Sync_queue.put q ~tid:(tid 0) (Value.int 7); Sync_queue.take q ~tid:(tid 1) |];
+               observe = None;
+               on_label = None;
+             }))
       ~fuel:60
       ~rng:(Conc.Rng.create ~seed:3L) ()
   in

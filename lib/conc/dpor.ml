@@ -14,12 +14,12 @@
    delivered one, with byte-identical history, trace and results.
 
    The engine can be rooted at a schedule [prefix]: the root-split
-   composition ({!Explore.exhaustive_strategy}) fully expands the root
-   frontier and hands each root decision to one rank-ordered task, so the
-   parallel merge is deterministic and race reversals never need to reach
-   into a frozen prefix node (the root is already fully expanded — a
-   superset of any backtrack set). Schedule-bounded search is not here:
-   it is the DFS of {!Par_explore} with a bound. *)
+   composition ({!Explore.exhaustive} with [~strategy:Dpor]) fully expands
+   the root frontier and hands each root decision to one rank-ordered
+   task, so the parallel merge is deterministic and race reversals never
+   need to reach into a frozen prefix node (the root is already fully
+   expanded — a superset of any backtrack set). Schedule-bounded search
+   is not here: it is the DFS of {!Par_explore} with a bound. *)
 
 (* ---------------------------------------------------------- source-DPOR -- *)
 

@@ -7,10 +7,11 @@
     exactly.
 
     The engine accepts a schedule [prefix] and is composed with
-    {!Par_explore} by root-splitting ({!Explore.exhaustive_strategy}): the
-    caller fully expands the root frontier (a superset of any backtrack
-    set, so reversals never need to reach into the frozen prefix) and runs
-    one engine instance per root decision as a rank-ordered task. The
+    {!Par_explore} by root-splitting ({!Explore.exhaustive} with
+    [~strategy:Dpor]): the caller fully expands the root frontier (a
+    superset of any backtrack set, so reversals never need to reach into
+    the frozen prefix) and runs one engine instance per root decision as
+    a rank-ordered task. The
     preemption/delay-bounded searches are not here: they are the
     {!Par_explore} DFS with a bound. *)
 

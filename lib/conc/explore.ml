@@ -46,18 +46,132 @@ let sweep ~domains ?max_runs ?bound ~restart ~fuel ~init ~f ?stop_on () =
     ~f:(fun acc o _ () -> f acc o)
     ?stop_on ()
 
-let exhaustive_collect ?(plan = []) ?(domains = 1) ~setup ~fuel ?max_runs
-    ?preemption_bound ~init ~f () =
-  sweep ~domains ?max_runs ?bound:(preemption preemption_bound)
-    ~restart:(fun () -> Runner.start ~plan ~setup ())
-    ~fuel ~init ~f ()
+(* --------------------------------------------------------- strategies -- *)
 
-let exhaustive ?plan ?domains ~setup ~fuel ?max_runs ?preemption_bound ~f () =
+type strategy =
+  | Dfs
+  | Dpor
+  | Preemption_bounded of { bound : int }
+  | Delay_bounded of { bound : int }
+
+let strategy_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "" | "dfs" -> Some Dfs
+  | "dpor" -> Some Dpor
+  | s -> (
+      match String.index_opt s ':' with
+      | None -> None
+      | Some i -> (
+          let kind = String.sub s 0 i
+          and n = String.sub s (i + 1) (String.length s - i - 1) in
+          match (kind, int_of_string_opt n) with
+          | ("preemption" | "preempt"), Some b when b >= 0 ->
+              Some (Preemption_bounded { bound = b })
+          | "delay", Some b when b >= 0 -> Some (Delay_bounded { bound = b })
+          | _ -> None))
+
+let strategy_to_string = function
+  | Dfs -> "dfs"
+  | Dpor -> "dpor"
+  | Preemption_bounded { bound } -> Fmt.str "preemption:%d" bound
+  | Delay_bounded { bound } -> Fmt.str "delay:%d" bound
+
+(* The bounded strategies are the DFS with a schedule bound, so they share
+   its dynamic work stealing and rank-ordered merge. DPOR composes with the
+   parallel front by root-splitting: fully expand the root frontier and
+   hand each root decision to one engine instance as a rank-ordered task.
+   That is sound because full expansion is a superset of any backtrack set
+   the analysis could compute at the root, so race reversals never need to
+   reach into a task's frozen prefix; the split is applied identically at
+   [domains = 1], so reports are byte-identical across domain counts by
+   construction (per-task run sets don't depend on which worker claims the
+   task). The cost is bounded reduction loss at the root only: at most a
+   factor of the root frontier width. *)
+let exhaustive_collect ?(plan = []) ?(strategy = Dfs) ?(domains = 1) ~setup
+    ~fuel ?max_runs ?preemption_bound ~init ~f () =
+  let strategy =
+    match (preemption_bound, strategy) with
+    | None, strategy -> strategy
+    | Some bound, Dfs -> Preemption_bounded { bound }
+    | Some _, _ ->
+        invalid_arg
+          "Explore: ?preemption_bound is the Dfs strategy's shorthand; pass \
+           ~strategy:(Preemption_bounded _) instead"
+  in
+  let restart () = Runner.start ~plan ~setup () in
+  let dfs ?bound () =
+    sweep ~domains ?max_runs ?bound ~restart ~fuel ~init ~f ()
+  in
+  match strategy with
+  | Dfs -> dfs ()
+  | Preemption_bounded { bound } -> dfs ~bound:(Engine.Preemption, bound) ()
+  | Delay_bounded { bound } -> dfs ~bound:(Engine.Delay, bound) ()
+  | Dpor ->
+      let roots = Runner.frontier (restart ()) in
+      if roots = [] || fuel = 0 then begin
+        let acc = init () in
+        let o = Runner.outcome (restart ()) in
+        f acc o;
+        ( { empty_stats with runs = 1; nodes = 1; max_steps = o.Runner.steps },
+          [| acc |] )
+      end
+      else begin
+        let gate =
+          match max_runs with
+          | None -> None
+          | Some m ->
+              let remaining = Atomic.make m in
+              Some (fun () -> Atomic.fetch_and_add remaining (-1) > 0)
+        in
+        let tasks = Array.of_list roots in
+        let eff_domains =
+          if domains <= 1 then 1
+          else
+            max 1
+              (min (Par_explore.effective_domains domains) (Array.length tasks))
+        in
+        let run_task _rank d =
+          let acc = init () in
+          let stats =
+            Dpor.source ~restart ~fuel ~prefix:[ d ] ?gate
+              ~f:(fun o -> f acc o)
+              ()
+          in
+          (stats, acc)
+        in
+        let results, stolen =
+          Par_explore.map_tasks ~domains:eff_domains ~f:run_task tasks
+        in
+        let stats =
+          Array.fold_left
+            (fun s (st, _) -> merge_stats s st)
+            empty_stats results
+        in
+        let stats =
+          {
+            stats with
+            tasks_stolen = stolen;
+            domains_used = eff_domains;
+            domains_requested = domains;
+          }
+        in
+        (stats, Array.map snd results)
+      end
+
+let exhaustive ?plan ?strategy ?domains ~setup ~fuel ?max_runs
+    ?preemption_bound ~f () =
   fst
-    (exhaustive_collect ?plan ?domains ~setup ~fuel ?max_runs ?preemption_bound
+    (exhaustive_collect ?plan ?strategy ?domains ~setup ~fuel ?max_runs
+       ?preemption_bound
        ~init:(fun () -> ())
        ~f:(fun () o -> f o)
        ())
+
+(* Kept only because the benchmark (perfbench/bench.ml) calls it. *)
+let exhaustive_strategy_collect ?plan ~strategy ?domains ~setup ~fuel
+    ?max_runs ~init ~f () =
+  exhaustive_collect ?plan ~strategy ?domains ~setup ~fuel ?max_runs ~init ~f
+    ()
 
 (* Exhaustive exploration of one durable program under one (possibly
    crashing) plan. *)
@@ -122,16 +236,6 @@ let exhaustive_via_replay ?(plan = []) ~setup ~fuel ?max_runs ?preemption_bound
     replayed_steps = !replayed;
   }
 
-let random ~setup ~fuel ~runs ~seed ~f () =
-  let rng = Rng.create ~seed in
-  let max_steps = ref 0 in
-  for _ = 1 to runs do
-    let outcome = Runner.run_random ~setup ~fuel ~rng () in
-    if outcome.Runner.steps > !max_steps then max_steps := outcome.Runner.steps;
-    f outcome
-  done;
-  { empty_stats with runs; max_steps = !max_steps }
-
 (* A first-failure search: with several workers, the lowest-ranked task
    whose accumulator caught a failure holds the sequential witness. *)
 let check_all ?(plan = []) ?(domains = 1) ~setup ~fuel ?max_runs
@@ -165,122 +269,11 @@ let failure_depth ~setup ~fuel ?(max_bound = 8) ?max_runs ~p () =
   in
   go 0 empty_stats
 
-(* ------------------------------------------------- strategy dispatch -- *)
-
-type strategy =
-  | Dfs
-  | Dpor
-  | Preemption_bounded of { bound : int }
-  | Delay_bounded of { bound : int }
-
-let strategy_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "dfs" -> Some Dfs
-  | "dpor" -> Some Dpor
-  | s -> (
-      match String.index_opt s ':' with
-      | None -> None
-      | Some i -> (
-          let kind = String.sub s 0 i
-          and n = String.sub s (i + 1) (String.length s - i - 1) in
-          match (kind, int_of_string_opt n) with
-          | ("preemption" | "preempt"), Some b when b >= 0 ->
-              Some (Preemption_bounded { bound = b })
-          | "delay", Some b when b >= 0 -> Some (Delay_bounded { bound = b })
-          | _ -> None))
-
-let strategy_to_string = function
-  | Dfs -> "dfs"
-  | Dpor -> "dpor"
-  | Preemption_bounded { bound } -> Fmt.str "preemption:%d" bound
-  | Delay_bounded { bound } -> Fmt.str "delay:%d" bound
-
-(* The bounded strategies are the DFS with a schedule bound, so they share
-   its dynamic work stealing and rank-ordered merge. DPOR composes with the
-   parallel front by root-splitting: fully expand the root frontier and
-   hand each root decision to one engine instance as a rank-ordered task.
-   That is sound because full expansion is a superset of any backtrack set
-   the analysis could compute at the root, so race reversals never need to
-   reach into a task's frozen prefix; the split is applied identically at
-   [domains = 1], so reports are byte-identical across domain counts by
-   construction (per-task run sets don't depend on which worker claims the
-   task). The cost is bounded reduction loss at the root only: at most a
-   factor of the root frontier width. *)
-let exhaustive_strategy_collect ?(plan = []) ~strategy ?(domains = 1) ~setup
-    ~fuel ?max_runs ~init ~f () =
-  let restart () = Runner.start ~plan ~setup () in
-  let bounded bound =
-    sweep ~domains ?max_runs ~bound ~restart ~fuel ~init ~f ()
-  in
-  match strategy with
-  | Dfs -> exhaustive_collect ~plan ~domains ~setup ~fuel ?max_runs ~init ~f ()
-  | Preemption_bounded { bound } -> bounded (Engine.Preemption, bound)
-  | Delay_bounded { bound } -> bounded (Engine.Delay, bound)
-  | Dpor ->
-      let roots = Runner.frontier (restart ()) in
-      if roots = [] || fuel = 0 then begin
-        let acc = init () in
-        let o = Runner.outcome (restart ()) in
-        f acc o;
-        ( { empty_stats with runs = 1; nodes = 1; max_steps = o.Runner.steps },
-          [| acc |] )
-      end
-      else begin
-        let gate =
-          match max_runs with
-          | None -> None
-          | Some m ->
-              let remaining = Atomic.make m in
-              Some (fun () -> Atomic.fetch_and_add remaining (-1) > 0)
-        in
-        let tasks = Array.of_list roots in
-        let eff_domains =
-          if domains <= 1 then 1
-          else
-            max 1
-              (min (Par_explore.effective_domains domains) (Array.length tasks))
-        in
-        let run_task _rank d =
-          let acc = init () in
-          let stats =
-            Dpor.source ~restart ~fuel ~prefix:[ d ] ?gate
-              ~f:(fun o -> f acc o)
-              ()
-          in
-          (stats, acc)
-        in
-        let results, stolen =
-          Par_explore.map_tasks ~domains:eff_domains ~f:run_task tasks
-        in
-        let stats =
-          Array.fold_left
-            (fun s (st, _) -> merge_stats s st)
-            empty_stats results
-        in
-        let stats =
-          {
-            stats with
-            tasks_stolen = stolen;
-            domains_used = eff_domains;
-            domains_requested = domains;
-          }
-        in
-        (stats, Array.map snd results)
-      end
-
-let exhaustive_strategy ?plan ~strategy ?domains ~setup ~fuel ?max_runs ~f ()
-    =
-  fst
-    (exhaustive_strategy_collect ?plan ~strategy ?domains ~setup ~fuel
-       ?max_runs
-       ~init:(fun () -> ())
-       ~f:(fun () o -> f o)
-       ())
-
 (* Replay a (witness) schedule through the vector-clock analysis and report
    its direct racing step pairs — the "why this interleaving matters" data
    of a minimized counterexample. *)
-let races_of_exec exec schedule =
+let races_of ?plan ~target schedule =
+  let exec = Runner.start_target ?plan target in
   let tracker = ref (Deps.tracker ()) in
   let races = ref [] in
   List.iter
@@ -309,12 +302,6 @@ let races_of_exec exec schedule =
         rs)
     schedule;
   List.rev !races
-
-let races_of ?(plan = []) ~setup schedule =
-  races_of_exec (Runner.start ~plan ~setup ()) schedule
-
-let races_of_durable ?(plan = []) ~setup schedule =
-  races_of_exec (Runner.start_durable ~plan ~setup ()) schedule
 
 (* ------------------------------------------------- fault exploration -- *)
 
@@ -428,6 +415,36 @@ let cap_plans max_plans seq =
       in
       (go n seq, fun () -> !capped)
 
+(* The plan enumeration every fault sweep shares. [free learn] runs the
+   sweep's fault-free pass and feeds each delivered outcome to a learner
+   taken from [learn ()] — one per exploration task, so parallel tasks
+   never share one; their tables bump-merge into the sequential learner
+   exactly. The pass learns only when [fault_bound > 0] ([learn ()] is
+   [ignore] otherwise). Returns the pass's result, the plans of
+   1..[fault_bound] faults over the learned candidates — lazily, smallest
+   first, at most [max_plans - 1] of them, since the fault-free plan counts
+   against [max_plans] — and whether that cap cut the enumeration. *)
+let fault_plans ?delay_factors ?max_plans ~fault_bound free =
+  if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
+  let learners = ref [] and lock = Mutex.create () in
+  let learn () =
+    if fault_bound = 0 then ignore
+    else begin
+      let l = candidate_learner ?delay_factors () in
+      Mutex.protect lock (fun () -> learners := l :: !learners);
+      l.learn
+    end
+  in
+  let result = free learn in
+  let merged = candidate_learner ?delay_factors () in
+  List.iter (absorb_learner merged) !learners;
+  let plans, was_capped =
+    cap_plans
+      (Option.map (fun m -> max 0 (m - 1)) max_plans)
+      (plans_up_to ~bound:fault_bound (merged.candidates ()))
+  in
+  (result, plans, was_capped)
+
 (* The fault sweep with a per-exploration-unit accumulator: one accumulator
    for every subtree task of the (possibly parallel) fault-free pass,
    followed by one per fault plan, all returned in canonical order. The
@@ -440,25 +457,16 @@ let cap_plans max_plans seq =
    candidates. *)
 let exhaustive_with_faults_collect ?delay_factors ?(domains = 1) ~setup ~fuel
     ?max_runs ?preemption_bound ?max_plans ~fault_bound ~init ~f () =
-  if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
   let free_domains = if max_runs = None then domains else 1 in
-  let learner = candidate_learner ?delay_factors () in
-  let free_stats, free_accs =
-    exhaustive_collect ~domains:free_domains ~setup ~fuel ?max_runs
-      ?preemption_bound
-      ~init:(fun () -> (init (), candidate_learner ?delay_factors ()))
-      ~f:(fun (acc, l) o ->
-        if fault_bound > 0 then l.learn o;
-        f acc o)
-      ()
-  in
-  Array.iter (fun (_, l) -> absorb_learner learner l) free_accs;
-  let candidates = if fault_bound = 0 then [] else learner.candidates () in
-  (* the empty plan was explored above and counts against [max_plans] *)
-  let plan_seq, was_capped =
-    cap_plans
-      (Option.map (fun m -> max 0 (m - 1)) max_plans)
-      (plans_up_to ~bound:fault_bound candidates)
+  let (free_stats, free_accs), plan_seq, was_capped =
+    fault_plans ?delay_factors ?max_plans ~fault_bound (fun learn ->
+        exhaustive_collect ~domains:free_domains ~setup ~fuel ?max_runs
+          ?preemption_bound
+          ~init:(fun () -> (init (), learn ()))
+          ~f:(fun (acc, learn) o ->
+            learn o;
+            f acc o)
+          ())
   in
   let plans = Array.of_list (List.of_seq plan_seq) in
   let run_plan _idx plan =
@@ -534,7 +542,6 @@ let exhaustive_with_faults ?delay_factors ?domains ~setup ~fuel ?max_runs
 let exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
     ?preemption_bound ?max_plans ?(max_crash_depth = 1) ?(fault_bound = 0) ~f
     () =
-  if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
   if max_crash_depth < 0 then
     invalid_arg "Explore: max_crash_depth must be >= 0";
   let budget = ref (match max_plans with Some m -> m | None -> max_int) in
@@ -572,15 +579,16 @@ let exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
       done
   in
   (try
-     let learner = candidate_learner ?delay_factors () in
-     let free_horizon = run_plan ~learn:learner.learn [] in
-     crash_sweep [] ~last_at:(-1) ~horizon:free_horizon ~depth:1;
-     if fault_bound > 0 then
-       Seq.iter
-         (fun fp ->
-           let horizon = run_plan fp in
-           crash_sweep fp ~last_at:(-1) ~horizon ~depth:1)
-         (plans_up_to ~bound:fault_bound (learner.candidates ()))
+     let (), plans, _ =
+       fault_plans ?delay_factors ~fault_bound (fun learn ->
+           let horizon = run_plan ~learn:(learn ()) [] in
+           crash_sweep [] ~last_at:(-1) ~horizon ~depth:1)
+     in
+     Seq.iter
+       (fun fp ->
+         let horizon = run_plan fp in
+         crash_sweep fp ~last_at:(-1) ~horizon ~depth:1)
+       plans
    with Budget -> ());
   (!nplans, { !acc with truncated = !acc.truncated || !capped })
 
@@ -726,17 +734,10 @@ let merge_liveness a b =
    non-termination classifies as deadlock, not livelock. *)
 let liveness_with_faults ?delay_factors ~setup ~fuel ~window ?max_runs
     ?preemption_bound ?max_plans ~fault_bound () =
-  if fault_bound < 0 then invalid_arg "Explore: fault_bound must be >= 0";
-  let learner = candidate_learner ?delay_factors () in
-  let free =
-    liveness_core ~setup ~fuel ~window ?max_runs ?preemption_bound
-      ~on_outcome:learner.learn ()
-  in
-  let candidates = if fault_bound = 0 then [] else learner.candidates () in
-  let plan_seq, was_capped =
-    cap_plans
-      (Option.map (fun m -> max 0 (m - 1)) max_plans)
-      (plans_up_to ~bound:fault_bound candidates)
+  let free, plan_seq, was_capped =
+    fault_plans ?delay_factors ?max_plans ~fault_bound (fun learn ->
+        liveness_core ~setup ~fuel ~window ?max_runs ?preemption_bound
+          ~on_outcome:(learn ()) ())
   in
   let nplans = ref 1 in
   let merged =

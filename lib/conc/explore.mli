@@ -1,11 +1,14 @@
-(** Systematic and randomised exploration of interleavings.
+(** Systematic exploration of interleavings.
 
     Exhaustive exploration enumerates {e every} schedule of a bounded
     program (stateless model checking by replay): the paper's claims are
     checked over the complete set of interleavings of each client program.
-    Randomised exploration samples schedules for larger programs and for
-    benchmarking.
+    Random runs, for programs too large to exhaust and for benchmarking,
+    are {!Sampler.run}'s ([~kind:Random_walk] is the uniform one).
 
+    Each question has one entry point: {!exhaustive} (strategy-
+    parameterised), {!check_all} (first failure), the fault and crash
+    sweeps, the liveness watchdog, and {!races_of} for a witness.
     Every exhaustive entry point runs one engine, the incremental DFS of
     {!Par_explore}: it keeps one live execution
     ({!Runner.start}/{!Runner.step}) and descends the schedule tree one
@@ -72,7 +75,8 @@ type stats = Engine.stats = {
   sampled_runs : int;
       (** randomly sampled executions ({!Sampler}) delivered; always [0]
           straight out of the exhaustive engine — patched in by
-          {!Verify.Obligations.check_sampled} and friends *)
+          {!Verify.Obligations.check_sampled} and
+          {!Verify.Obligations.check_sampled_durable} *)
   violations_found : int;
       (** sampled runs on which the checked obligation failed (with
           early-exit sampling this is [0] or [1]) *)
@@ -90,8 +94,55 @@ val merge_stats : stats -> stats -> stats
 (** Counters sum, [truncated] ors, [max_steps]/[domains_used]/
     [domains_requested] max. *)
 
+(** {1 Exhaustive sweeps}
+
+    One sweep, {!exhaustive} (with {!exhaustive_collect}), answers every
+    exhaustive question; what it explores is an explicit {e strategy}
+    argument (default [Dfs], the full incremental DFS):
+
+    - {!Dpor}: source-DPOR over the vector-clock happens-before relation
+      ({!Deps}/{!Dpor}) — explores one interleaving per Mazurkiewicz trace
+      of the over-approximated dependence. {e Complete}: verdicts are
+      preserved exactly (every pruned schedule has a delivered equivalent
+      with byte-identical history, trace and results).
+    - {!Preemption_bounded}/{!Delay_bounded}: the incremental DFS with a
+      schedule-cost bound ({!Engine.cost_model}): it delivers exactly the
+      full DFS's runs of cost at most [bound], in the same (DFS) order,
+      with the same work stealing. Honest {e underapproximations}, sound
+      for bug-finding; stats report [bounded = true] exactly when the
+      bound cut an edge, so [bounded = false] means the sweep was
+      exhaustive.
+
+    DPOR composes with the parallel front by root-splitting: the root
+    frontier is fully expanded (a superset of any backtrack set) and each
+    root decision becomes one rank-ordered task, applied identically at
+    [domains = 1] — so reports are byte-identical across domain counts by
+    construction.
+
+    [?preemption_bound:b] is shorthand for
+    [~strategy:(Preemption_bounded {bound = b})], the same sweep; it
+    combines only with [Dfs] (any other [?strategy] raises
+    [Invalid_argument]). The single-plan durable, first-failure and
+    liveness sweeps take only this shorthand. *)
+
+type strategy =
+  | Dfs  (** the full incremental DFS: every schedule, no reduction *)
+  | Dpor  (** source-DPOR: complete, verdict-preserving reduction *)
+  | Preemption_bounded of { bound : int }
+      (** at most [bound] preemptive context switches per run *)
+  | Delay_bounded of { bound : int }
+      (** at most [bound] deviations from the default continuation *)
+
+val strategy_of_string : string -> strategy option
+(** Parse ["dfs"], ["dpor"], ["preemption:N"] / ["preempt:N"], ["delay:N"]
+    (case-insensitive); [None] on anything else. The inverse of
+    {!strategy_to_string}. *)
+
+val strategy_to_string : strategy -> string
+
 val exhaustive :
   ?plan:Fault.plan ->
+  ?strategy:strategy ->
   ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
@@ -101,9 +152,12 @@ val exhaustive :
   unit ->
   stats
 (** [exhaustive ~setup ~fuel ~f ()] calls [f] on the outcome of every
-    maximal schedule: one in which every thread returned, or which reached
-    [fuel] decisions (the outcome then has pending operations). [max_runs]
-    (default unlimited) aborts a blow-up; the result notes truncation.
+    maximal schedule the [strategy] (default [Dfs]) explores: one in which
+    every thread returned, or which reached [fuel] decisions (the outcome
+    then has pending operations). [max_runs] (default unlimited) aborts a
+    blow-up; the result notes truncation. It is a shared run budget:
+    combine it with [domains = 1] when the exact run {e set} must be
+    deterministic.
 
     [preemption_bound] (default unlimited) restricts the search to
     schedules with at most that many {e preemptions} — context switches
@@ -112,8 +166,9 @@ val exhaustive :
     very few preemptions, so a small bound gives a dramatically smaller yet
     highly effective search; it is an underapproximation, and the stats
     say so: [bounded = true] with the cut edges in [bound_hits] whenever
-    the bound cut the tree. It is the same sweep as
-    [Preemption_bounded {bound}] under {!exhaustive_strategy}.
+    the bound cut the tree. It is shorthand for
+    [~strategy:(Preemption_bounded {bound})]; passing both raises
+    [Invalid_argument].
 
     [plan] (default none) runs every schedule under that {!Fault.plan}:
     crashed threads contribute no further decisions, so the faulty search
@@ -125,6 +180,7 @@ val exhaustive :
 
 val exhaustive_collect :
   ?plan:Fault.plan ->
+  ?strategy:strategy ->
   ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
@@ -135,11 +191,26 @@ val exhaustive_collect :
   unit ->
   stats * 'acc array
 (** {!exhaustive} with per-task accumulators: [init] runs once per
-    work-stealing task (once in total when [domains = 1]) and [f] only
-    ever touches its own task's accumulator, so no callback
-    synchronisation is needed. The accumulators come back in canonical
-    rank order — folding them left visits the delivered outcomes in
-    exactly the sequential delivery order. *)
+    work-stealing task (once in total when [domains = 1] under a DFS
+    strategy; once per root decision under [Dpor]) and [f] only ever
+    touches its own task's accumulator, so no callback synchronisation is
+    needed. The accumulators come back in canonical rank order — folding
+    them left visits the delivered outcomes in exactly the sequential
+    delivery order, at any domain count. *)
+
+val exhaustive_strategy_collect :
+  ?plan:Fault.plan ->
+  strategy:strategy ->
+  ?domains:int ->
+  setup:(Ctx.t -> Runner.program) ->
+  fuel:int ->
+  ?max_runs:int ->
+  init:(unit -> 'acc) ->
+  f:('acc -> Runner.outcome -> unit) ->
+  unit ->
+  stats * 'acc array
+(** {!exhaustive_collect} with a required [strategy]: an alias kept only
+    because the repository benchmark ([perfbench/bench.ml]) calls it. *)
 
 val exhaustive_via_replay :
   ?plan:Fault.plan ->
@@ -155,17 +226,6 @@ val exhaustive_via_replay :
     as sequential {!exhaustive}; kept as the reference
     implementation for cross-checking and for the B12 before/after cost
     comparison ([replayed_steps] counts every program step it executes). *)
-
-val random :
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  runs:int ->
-  seed:int64 ->
-  f:(Runner.outcome -> unit) ->
-  unit ->
-  stats
-(** [random ~setup ~fuel ~runs ~seed ~f ()] samples [runs] uniformly
-    scheduled executions. *)
 
 val check_all :
   ?plan:Fault.plan ->
@@ -190,93 +250,15 @@ val check_all :
     the same outcome the sequential search returns (the stats of an
     [Error] differ: abandoned tasks stop counting early). *)
 
-(** {1 Exploration strategies}
-
-    Beyond the full incremental DFS, exploration can run under an
-    explicit {e strategy}:
-
-    - {!Dpor}: source-DPOR over the vector-clock happens-before relation
-      ({!Deps}/{!Dpor}) — explores one interleaving per Mazurkiewicz trace
-      of the over-approximated dependence. {e Complete}: verdicts are
-      preserved exactly (every pruned schedule has a delivered equivalent
-      with byte-identical history, trace and results).
-    - {!Preemption_bounded}/{!Delay_bounded}: the incremental DFS with a
-      schedule-cost bound ({!Engine.cost_model}): it delivers exactly the
-      full DFS's runs of cost at most [bound], in the same (DFS) order,
-      with the same work stealing. Honest {e underapproximations}, sound
-      for bug-finding; stats report [bounded = true] exactly when the
-      bound cut an edge, so [bounded = false] means the sweep was
-      exhaustive.
-
-    DPOR composes with the parallel front by root-splitting: the root
-    frontier is fully expanded (a superset of any backtrack set) and each
-    root decision becomes one rank-ordered task, applied identically at
-    [domains = 1] — so reports are byte-identical across domain counts by
-    construction. *)
-
-type strategy =
-  | Dfs  (** the full incremental DFS: every schedule, no reduction *)
-  | Dpor  (** source-DPOR: complete, verdict-preserving reduction *)
-  | Preemption_bounded of { bound : int }
-      (** at most [bound] preemptive context switches per run *)
-  | Delay_bounded of { bound : int }
-      (** at most [bound] deviations from the default continuation *)
-
-val strategy_of_string : string -> strategy option
-(** Parse ["dfs"], ["dpor"], ["preemption:N"] / ["preempt:N"], ["delay:N"]
-    (case-insensitive); [None] on anything else. The inverse of
-    {!strategy_to_string}. *)
-
-val strategy_to_string : strategy -> string
-
-val exhaustive_strategy :
-  ?plan:Fault.plan ->
-  strategy:strategy ->
-  ?domains:int ->
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  ?max_runs:int ->
-  f:(Runner.outcome -> unit) ->
-  unit ->
-  stats
-(** Explore under [strategy]. [Dfs] delegates to {!exhaustive}, and the
-    bounded strategies run the same DFS with their bound; [Dpor]
-    root-splits as described above (even at [domains = 1]). [max_runs] is
-    a shared run budget; combine it with [domains = 1] when the exact run
-    {e set} must be deterministic. With
-    [domains >= 2] the callback runs concurrently from several domains —
-    use {!exhaustive_strategy_collect} unless it is thread-safe. *)
-
-val exhaustive_strategy_collect :
-  ?plan:Fault.plan ->
-  strategy:strategy ->
-  ?domains:int ->
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  ?max_runs:int ->
-  init:(unit -> 'acc) ->
-  f:('acc -> Runner.outcome -> unit) ->
-  unit ->
-  stats * 'acc array
-(** Like {!exhaustive_strategy} with one accumulator per task (DFS
-    work-stealing task, or DPOR root-split task), returned in canonical
-    rank order, so merging accumulators in array order is deterministic
-    and domain-count-invariant. *)
-
 val races_of :
   ?plan:Fault.plan ->
-  setup:(Ctx.t -> Runner.program) ->
+  target:Runner.target ->
   Runner.schedule ->
   Cal.Witness.race list
-(** Replay a (witness) schedule through the vector-clock analysis and
-    return its direct racing step pairs, in execution order — the "why
-    this interleaving matters" annotation of a minimized counterexample. *)
-
-val races_of_durable :
-  ?plan:Fault.plan ->
-  setup:(Ctx.t -> Runner.durable) ->
-  Runner.schedule ->
-  Cal.Witness.race list
+(** Replay a (witness) schedule of [target] through the vector-clock
+    analysis and return its direct racing step pairs, in execution order —
+    the "why this interleaving matters" annotation of a minimized
+    counterexample. *)
 
 (** {1 Fault exploration} *)
 

@@ -310,6 +310,14 @@ let start_durable ?(plan = []) ~setup () =
     ~e_durable:(Some (d.domain, d.recover))
     ()
 
+type target =
+  | Program of (Ctx.t -> program)
+  | Durable of (Ctx.t -> durable)
+
+let start_target ?plan = function
+  | Program setup -> start ?plan ~setup ()
+  | Durable setup -> start_durable ?plan ~setup ()
+
 let step e d =
   (* Track shared-location accesses only while the decision itself applies:
      guard evaluations in [frontier] and the post-step hooks stay outside
@@ -413,23 +421,3 @@ let outcome_equal a b =
   && List.equal Fault.equal a.injected b.injected
   && List.equal String.equal a.fallible_steps b.fallible_steps
   && a.epochs = b.epochs
-
-let drive_random e ~fuel ~rng =
-  let rec go remaining =
-    if remaining = 0 then ()
-    else
-      match frontier e with
-      | [] -> ()
-      | ds ->
-          let d = Rng.pick rng ds in
-          ignore (step e d);
-          go (remaining - 1)
-  in
-  go fuel;
-  snapshot e
-
-let run_random ?(plan = []) ~setup ~fuel ~rng () =
-  drive_random (start ~plan ~setup ()) ~fuel ~rng
-
-let run_random_durable ?(plan = []) ~setup ~fuel ~rng () =
-  drive_random (start_durable ~plan ~setup ()) ~fuel ~rng

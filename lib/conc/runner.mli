@@ -96,6 +96,17 @@ val start_durable :
     execution. Crash-during-recovery is expressed by a plan with several
     [Crash_system] points. *)
 
+(** The two kinds of program a run can start from: the [setup] of a
+    plain {!program}, or of a {!durable} one (whose plans may contain
+    {!Fault.Crash_system}). Every entry point that serves both kinds
+    ({!Sampler.run}, {!Explore.races_of}, {!Shrink}) takes one. *)
+type target =
+  | Program of (Ctx.t -> program)
+  | Durable of (Ctx.t -> durable)
+
+val start_target : ?plan:Fault.plan -> target -> exec
+(** {!start} or {!start_durable}, by the target's kind. *)
+
 val step : exec -> decision -> string
 (** Apply one decision and return the label of the step taken. Raises
     [Invalid_argument] when the decision is not enabled (wrong thread
@@ -137,27 +148,6 @@ val replay_durable :
   ?plan:Fault.plan -> setup:(Ctx.t -> durable) -> schedule -> outcome * frontier
 (** {!replay} for durable programs: witnesses found by crash exploration
     replay against {!start_durable} with the same (schedule, plan) pair. *)
-
-val run_random :
-  ?plan:Fault.plan ->
-  setup:(Ctx.t -> program) ->
-  fuel:int ->
-  rng:Rng.t ->
-  unit ->
-  outcome
-(** Run to completion (or until [fuel] decisions) picking uniformly among
-    enabled decisions. Crashed and stalled threads are never picked; if no
-    thread is enabled the run stops early. *)
-
-val run_random_durable :
-  ?plan:Fault.plan ->
-  setup:(Ctx.t -> durable) ->
-  fuel:int ->
-  rng:Rng.t ->
-  unit ->
-  outcome
-(** {!run_random} for durable programs (used by the crash-recovery
-    benchmark sweeps). *)
 
 val pp_decision : Format.formatter -> decision -> unit
 

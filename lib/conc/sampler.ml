@@ -154,11 +154,8 @@ let drive e ~kind ~fuel ~rng =
   go fuel;
   Runner.outcome e
 
-let run ?(plan = []) ~kind ~setup ~fuel ~rng () =
-  drive (Runner.start ~plan ~setup ()) ~kind ~fuel ~rng
-
-let run_durable ?(plan = []) ~kind ~setup ~fuel ~rng () =
-  drive (Runner.start_durable ~plan ~setup ()) ~kind ~fuel ~rng
+let run ?plan ~kind ~target ~fuel ~rng () =
+  drive (Runner.start_target ?plan target) ~kind ~fuel ~rng
 
 (* ------------------------------------------------- joint plan sampling -- *)
 
@@ -211,15 +208,10 @@ let probe_outcomes outcomes =
     ps_max_steps = !max_steps;
   }
 
-let probe ~setup ~fuel ~runs ~rng () =
+let probe ~target ~fuel ~runs ~rng () =
   probe_outcomes
     (List.init (max 1 runs) (fun _ ->
-         run ~kind:Random_walk ~setup ~fuel ~rng ()))
-
-let probe_durable ~setup ~fuel ~runs ~rng () =
-  probe_outcomes
-    (List.init (max 1 runs) (fun _ ->
-         run_durable ~kind:Random_walk ~setup ~fuel ~rng ()))
+         run ~kind:Random_walk ~target ~fuel ~rng ()))
 
 (* One random per-thread fault from the probed space, or None when the
    chosen category has no candidate point. *)

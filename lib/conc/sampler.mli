@@ -5,9 +5,12 @@
     under a randomized scheduler many times and check every outcome. The
     schedulers here are deterministic functions of an explicit {!Rng.t},
     so a sampled run is exactly as reproducible as an exhaustive one — and
-    because every run goes through the {!Runner} exec API, its outcome
-    carries the (schedule, plan) pair that {!Runner.replay} reproduces
-    byte-for-byte. Sampling never proves absence of bugs; it is the
+    because every run starts from a {!Runner.target} (plain or durable)
+    through the {!Runner} exec API, its outcome carries the
+    (schedule, plan) pair that {!Runner.replay} (or
+    {!Runner.replay_durable}) reproduces byte-for-byte. The same {!run}
+    with [~kind:Random_walk] is the repo's one uniform random run.
+    Sampling never proves absence of bugs; it is the
     detection mode for spaces too big to exhaust, with
     {!Verify.Obligations.check_sampled} as the checking front and
     {!Shrink} as the witness minimizer.
@@ -53,26 +56,18 @@ val kind_of_string : string -> (kind, string) result
 val run :
   ?plan:Fault.plan ->
   kind:kind ->
-  setup:(Ctx.t -> Runner.program) ->
+  target:Runner.target ->
   fuel:int ->
   rng:Rng.t ->
   unit ->
   Runner.outcome
-(** One sampled execution: run to completion or until [fuel] decisions,
-    scheduling per [kind]. Crashed/stalled threads are never picked; if no
-    decision is enabled the run stops early. The outcome's
-    (schedule, plan) pair replays byte-for-byte via {!Runner.replay}. *)
-
-val run_durable :
-  ?plan:Fault.plan ->
-  kind:kind ->
-  setup:(Ctx.t -> Runner.durable) ->
-  fuel:int ->
-  rng:Rng.t ->
-  unit ->
-  Runner.outcome
-(** {!run} for durable programs (plans may contain
-    {!Fault.Crash_system}); replays via {!Runner.replay_durable}. *)
+(** One sampled execution of [target]: run to completion or until [fuel]
+    decisions, scheduling per [kind]. Crashed/stalled threads are never
+    picked; if no decision is enabled the run stops early. The outcome's
+    (schedule, plan) pair replays byte-for-byte via {!Runner.replay} (or
+    {!Runner.replay_durable} for a [Durable] target, whose plans may
+    contain {!Fault.Crash_system}). [~kind:Random_walk] is the plain
+    uniform random run: one {!Rng.pick} over the frontier per decision. *)
 
 (** {1 Joint plan sampling}
 
@@ -93,21 +88,14 @@ type plan_space = {
 }
 
 val probe :
-  setup:(Ctx.t -> Runner.program) ->
+  target:Runner.target ->
   fuel:int ->
   runs:int ->
   rng:Rng.t ->
   unit ->
   plan_space
-(** Learn a {!plan_space} from [runs] fault-free random walks. *)
-
-val probe_durable :
-  setup:(Ctx.t -> Runner.durable) ->
-  fuel:int ->
-  runs:int ->
-  rng:Rng.t ->
-  unit ->
-  plan_space
+(** Learn a {!plan_space} from [runs] fault-free random walks of
+    [target]. *)
 
 val sample_plan :
   ?fault_bound:int ->

@@ -1,7 +1,3 @@
-type target =
-  | Program of (Ctx.t -> Runner.program)
-  | Durable of (Ctx.t -> Runner.durable)
-
 type stats = {
   candidates : int;
   steps_removed : int;
@@ -16,18 +12,13 @@ type minimized = {
   m_stats : stats;
 }
 
-let start target ~plan =
-  match target with
-  | Program setup -> Runner.start ~plan ~setup ()
-  | Durable setup -> Runner.start_durable ~plan ~setup ()
-
 let replay target ~plan sched =
-  let e = start target ~plan in
+  let e = Runner.start_target ~plan target in
   List.iter (fun d -> ignore (Runner.step e d)) sched;
   Runner.outcome e
 
 let tolerant_replay target ~plan sched =
-  let e = start target ~plan in
+  let e = Runner.start_target ~plan target in
   List.iter
     (fun (d : Runner.decision) ->
       if List.mem d (Runner.frontier e) then ignore (Runner.step e d))
@@ -166,7 +157,7 @@ let minimize ~target ~fails ~schedule ?(plan = []) () =
 (* ------------------------------------------------------------- segments -- *)
 
 let segments target ~plan sched =
-  let e = start target ~plan in
+  let e = Runner.start_target ~plan target in
   let segs = ref [] in
   (* (thread, preemptive, count) of the open segment, newest at head *)
   List.iter

@@ -17,18 +17,14 @@
     Tolerant replay is still a deterministic function of
     (schedule, plan), so revalidation is sound; the final witness replays
     {e strictly} — byte-for-byte via {!Runner.replay} /
-    {!Runner.replay_durable}.
+    {!Runner.replay_durable}. Every function here replays against a
+    {!Runner.target}: the same [setup], plain or durable, that the
+    failing run used.
 
     The result is {e 1-minimal} (locally minimal): removing any single
     schedule decision or any single plan element from the witness makes
     the failure disappear. ddmin guarantees this at termination of each
     axis; the outer loop iterates the axes to a joint fixpoint. *)
-
-(** What to replay candidates against: the same [setup] the failing run
-    used. *)
-type target =
-  | Program of (Ctx.t -> Runner.program)
-  | Durable of (Ctx.t -> Runner.durable)
 
 type stats = {
   candidates : int;      (** candidate replays tried (all revalidations) *)
@@ -44,19 +40,20 @@ type minimized = {
   m_stats : stats;
 }
 
-val replay : target -> plan:Fault.plan -> Runner.schedule -> Runner.outcome
+val replay :
+  Runner.target -> plan:Fault.plan -> Runner.schedule -> Runner.outcome
 (** Strict replay against the target ({!Runner.replay} or
     {!Runner.replay_durable}); raises [Invalid_argument] on a decision
     that is not enabled. *)
 
 val tolerant_replay :
-  target -> plan:Fault.plan -> Runner.schedule -> Runner.outcome
+  Runner.target -> plan:Fault.plan -> Runner.schedule -> Runner.outcome
 (** Replay skipping decisions that are not enabled at their point; the
     outcome's [schedule] field holds the decisions actually applied. A
     deterministic function of (schedule, plan). *)
 
 val minimize :
-  target:target ->
+  target:Runner.target ->
   fails:(Runner.outcome -> bool) ->
   schedule:Runner.schedule ->
   ?plan:Fault.plan ->
@@ -71,7 +68,7 @@ val minimize :
     reproduces a failing run). *)
 
 val segments :
-  target -> plan:Fault.plan -> Runner.schedule ->
+  Runner.target -> plan:Fault.plan -> Runner.schedule ->
   (int * bool * int) list
 (** Per-thread schedule segments for rendering ({!Cal.Witness}): maximal
     runs of consecutive decisions by one thread as

@@ -180,17 +180,16 @@ let check_outcome ~spec ~view (outcome : Conc.Runner.outcome) =
 let collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
     ~check () =
   let domains = resolve_domains ~max_runs domains in
+  let strategy = resolve_strategy strategy in
+  (* [preemption_bound] is the [Dfs] path's spelling of
+     [Preemption_bounded]; under any other strategy it is ignored rather
+     than composed, so the strategy alone defines the run set *)
+  let preemption_bound =
+    if strategy = Conc.Explore.Dfs then preemption_bound else None
+  in
   let stats, accs =
-    match resolve_strategy strategy with
-    | Conc.Explore.Dfs ->
-        Conc.Explore.exhaustive_collect ~domains ~setup ~fuel ?max_runs
-          ?preemption_bound ~init:new_acc ~f:(record check) ()
-    | strategy ->
-        (* [preemption_bound] is the [Dfs] path's spelling of
-           [Preemption_bounded]; under any other strategy it is ignored
-           rather than composed, so the strategy alone defines the run set *)
-        Conc.Explore.exhaustive_strategy_collect ~strategy ~domains ~setup
-          ~fuel ?max_runs ~init:new_acc ~f:(record check) ()
+    Conc.Explore.exhaustive_collect ~strategy ~domains ~setup ~fuel ?max_runs
+      ?preemption_bound ~init:new_acc ~f:(record check) ()
   in
   report_of ~exploration:stats ~truncated:stats.truncated accs
 
@@ -239,12 +238,8 @@ let liveness_report ~fuel ~window (stats : Conc.Explore.liveness_stats) =
     sampling = None;
   }
 
-let check_liveness ?plan ~setup ~fuel ~window ?max_runs ?preemption_bound () =
-  liveness_report ~fuel ~window
-    (Conc.Explore.liveness ?plan ~setup ~fuel ~window ?max_runs ?preemption_bound ())
-
-let check_liveness_with_faults ?delay_factors ~setup ~fuel ~window ?max_runs
-    ?preemption_bound ?max_plans ~fault_bound () =
+let check_liveness ?delay_factors ~setup ~fuel ~window ?max_runs
+    ?preemption_bound ?max_plans ?(fault_bound = 0) () =
   let _plans, stats =
     Conc.Explore.liveness_with_faults ?delay_factors ~setup ~fuel ~window
       ?max_runs ?preemption_bound ?max_plans ~fault_bound ()
@@ -319,9 +314,8 @@ let durable_key ~checker (outcome : Conc.Runner.outcome) =
   ^ "\n"
   ^ History.canonical_key outcome.history
 
-let check_durable_with_faults ?(checker = `Cal) ?cache ?delay_factors ~setup
-    ~spec ~fuel ?max_runs ?preemption_bound ?max_plans ?max_crash_depth
-    ~fault_bound () =
+let check_durable ?(checker = `Cal) ?cache ?delay_factors ~setup ~spec ~fuel
+    ?max_runs ?preemption_bound ?max_plans ?max_crash_depth ?fault_bound () =
   let vc = new_cache cache in
   let check outcome =
     match vc with
@@ -333,16 +327,11 @@ let check_durable_with_faults ?(checker = `Cal) ?cache ?delay_factors ~setup
   let acc = new_acc () in
   let _plans, stats =
     Conc.Explore.exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
-      ?preemption_bound ?max_plans ?max_crash_depth ~fault_bound
+      ?preemption_bound ?max_plans ?max_crash_depth ?fault_bound
       ~f:(record check acc) ()
   in
   patch_cache vc
     (report_of ~exploration:stats ~truncated:stats.truncated [| acc |])
-
-let check_durable ?checker ?cache ~setup ~spec ~fuel ?max_runs
-    ?preemption_bound ?max_plans ?max_crash_depth () =
-  check_durable_with_faults ?checker ?cache ~setup ~spec ~fuel ?max_runs
-    ?preemption_bound ?max_plans ?max_crash_depth ~fault_bound:0 ()
 
 (* ------------------------------------------------- sampled obligations -- *)
 
@@ -389,12 +378,7 @@ let render_sampled_problem ~kind ~seed ~budget ~fuel ~run_index ~target ~plan
   (* The racing step pairs of the (minimized) witness: one replay through
      the vector-clock analysis, capped so a pathological schedule cannot
      flood the report. *)
-  let races =
-    match target with
-    | Conc.Shrink.Program setup -> Conc.Explore.races_of ~plan ~setup schedule
-    | Conc.Shrink.Durable setup ->
-        Conc.Explore.races_of_durable ~plan ~setup schedule
-  in
+  let races = Conc.Explore.races_of ~plan ~target schedule in
   let cap = Tuning.witness_race_cap () in
   let shown = List.filteri (fun i _ -> i < cap) races in
   let hidden = List.length races - List.length shown in
@@ -422,8 +406,17 @@ let render_sampled_problem ~kind ~seed ~budget ~fuel ~run_index ~target ~plan
     (List.length schedule) races_line shrink_line Cal.Witness.pp_era_history
     outcome.history
 
-let sampled_report ~kind ~seed ~budget ~fuel ~shrink ~target ~check
-    ~sample_one () =
+(* [plans rng] draws the fault plan of each run from the check's one RNG
+   stream; a fault-free check draws nothing, so its stream is the
+   sampler's alone. *)
+let sampled_report ~kind ~seed ~budget ~fuel ~shrink ~target ~check ~plans
+    () =
+  let rng = Conc.Rng.create ~seed in
+  let next_plan = plans rng in
+  let sample_one () =
+    let plan = next_plan () in
+    Conc.Sampler.run ~plan ~kind ~target ~fuel ~rng ()
+  in
   let acc = new_acc () in
   let violations = ref 0 in
   let sh_cand = ref 0 and sh_removed = ref 0 in
@@ -490,35 +483,32 @@ let sampled_report ~kind ~seed ~budget ~fuel ~shrink ~target ~check
     sampling = Some { s_kind = kind; s_seed = seed; s_budget = budget };
   }
 
-let check_sampled ?(kind = default_kind) ?(seed = 1L) ?(shrink = true) ~setup
-    ~spec ~view ~fuel ~budget () =
-  let rng = Conc.Rng.create ~seed in
-  sampled_report ~kind ~seed ~budget ~fuel ~shrink
-    ~target:(Conc.Shrink.Program setup)
-    ~check:(check_outcome ~spec ~view)
-    ~sample_one:(fun () -> Conc.Sampler.run ~kind ~setup ~fuel ~rng ())
-    ()
+(* Fault plans drawn per run from a space learned by four probe walks on
+   the same RNG stream. *)
+let probed_plans ~target ~fuel ?delay_factors ~crash_depth ~fault_bound rng =
+  let space = Conc.Sampler.probe ~target ~fuel ~runs:4 ~rng () in
+  fun () ->
+    Conc.Sampler.sample_plan ~fault_bound ?delay_factors ~crash_depth space
+      ~rng
 
-let check_sampled_with_faults ?(kind = default_kind) ?(seed = 1L)
-    ?(shrink = true) ?delay_factors ?(fault_bound = 1) ~setup ~spec ~view
-    ~fuel ~budget () =
-  let rng = Conc.Rng.create ~seed in
-  let space = Conc.Sampler.probe ~setup ~fuel ~runs:4 ~rng () in
-  sampled_report ~kind ~seed ~budget ~fuel ~shrink
-    ~target:(Conc.Shrink.Program setup)
-    ~check:(check_outcome ~spec ~view)
-    ~sample_one:(fun () ->
-      let plan =
-        Conc.Sampler.sample_plan ~fault_bound ?delay_factors space ~rng
-      in
-      Conc.Sampler.run ~plan ~kind ~setup ~fuel ~rng ())
-    ()
+let check_sampled ?(kind = default_kind) ?(seed = 1L) ?(shrink = true)
+    ?delay_factors ?fault_bound ~setup ~spec ~view ~fuel ~budget () =
+  let target = Conc.Runner.Program setup in
+  let plans =
+    match (fault_bound, delay_factors) with
+    | None, None -> fun _ () -> []
+    | None, Some _ ->
+        invalid_arg "Obligations.check_sampled: delay_factors needs fault_bound"
+    | Some fault_bound, _ ->
+        probed_plans ~target ~fuel ?delay_factors ~crash_depth:0 ~fault_bound
+  in
+  sampled_report ~kind ~seed ~budget ~fuel ~shrink ~target
+    ~check:(check_outcome ~spec ~view) ~plans ()
 
 let check_sampled_durable ?(checker = `Cal) ?(kind = default_kind)
     ?(seed = 1L) ?(shrink = true) ?delay_factors ?(fault_bound = 0)
     ?(max_crash_depth = 1) ~setup ~spec ~fuel ~budget () =
-  let rng = Conc.Rng.create ~seed in
-  let space = Conc.Sampler.probe_durable ~setup ~fuel ~runs:4 ~rng () in
+  let target = Conc.Runner.Durable setup in
   let check o =
     Result.map_error
       (fun m ->
@@ -528,14 +518,10 @@ let check_sampled_durable ?(checker = `Cal) ?(kind = default_kind)
         ^ m)
       (durable_check ~checker ~spec o)
   in
-  sampled_report ~kind ~seed ~budget ~fuel ~shrink
-    ~target:(Conc.Shrink.Durable setup) ~check
-    ~sample_one:(fun () ->
-      let plan =
-        Conc.Sampler.sample_plan ~fault_bound ?delay_factors
-          ~crash_depth:max_crash_depth space ~rng
-      in
-      Conc.Sampler.run_durable ~plan ~kind ~setup ~fuel ~rng ())
+  sampled_report ~kind ~seed ~budget ~fuel ~shrink ~target ~check
+    ~plans:
+      (probed_plans ~target ~fuel ?delay_factors ~crash_depth:max_crash_depth
+         ~fault_bound)
     ()
 
 let ok r = r.problems = []

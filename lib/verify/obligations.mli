@@ -35,12 +35,18 @@
     path's spelling of [Preemption_bounded {bound = b}] (the same sweep,
     and the only bound the fault, durable and liveness checks take); off
     the [Dfs] path it is ignored, so the strategy alone defines the run
-    set. Whichever spelling is used, the report's [exploration] says
+    set. Both go to the one sweep, {!Conc.Explore.exhaustive_collect}.
+    Whichever spelling is used, the report's [exploration] says
     [bounded = true] exactly when the bound cut an edge, so
     [bounded = false] means the check was exhaustive.
 
-    {b Verdict cache.} The black-box checks ({!check_black_box},
-    {!check_durable}, {!check_durable_with_faults}) take [?cache]
+    {b Faults.} The durable, liveness and sampled checks take
+    [?fault_bound]; absent or [0] means fault-free, so each question has
+    one entry point whatever the adversity. {!check_object_with_faults}
+    is the exhaustive object check's fault sweep.
+
+    {b Verdict cache.} The black-box checks ({!check_black_box} and
+    {!check_durable}) take [?cache]
     (default: the [CAL_VERDICT_CACHE] environment variable): checker
     verdicts are memoized on the {e canonical} history
     ({!Cal.History.canonicalize}), shared across worker domains behind a
@@ -82,7 +88,8 @@ type report = {
           instead ([None] for liveness reports, whose stats live in
           {!Conc.Explore.liveness_stats}) *)
   sampling : sampling option;
-      (** [Some _] exactly for the [check_sampled*] family *)
+      (** [Some _] exactly for {!check_sampled} and
+          {!check_sampled_durable} *)
 }
 
 val reconcile : Cal.History.t -> Cal.Ca_trace.t -> (Cal.History.t, string) result
@@ -137,24 +144,6 @@ val check_object_with_faults :
     {!Conc.Explore.exhaustive_with_faults}). *)
 
 val check_liveness :
-  ?plan:Conc.Fault.plan ->
-  setup:(Conc.Ctx.t -> Conc.Runner.program) ->
-  fuel:int ->
-  window:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  unit ->
-  report
-(** The liveness obligation, via {!Conc.Explore.liveness}: every maximal
-    run is classified by the bounded-fairness watchdog, and each
-    {e livelocked} run — incomplete at [fuel], decisions still enabled, no
-    thread left enabled-but-unscheduled for [window] consecutive
-    decisions — becomes a problem (with its witness schedule and plan).
-    Starved runs are excused as scheduler unfairness; deadlocks are the
-    legitimate blocking behaviour of timed/blocking structures.
-    [complete_runs] counts the runs in which every thread returned. *)
-
-val check_liveness_with_faults :
   ?delay_factors:int list ->
   setup:(Conc.Ctx.t -> Conc.Runner.program) ->
   fuel:int ->
@@ -162,13 +151,23 @@ val check_liveness_with_faults :
   ?max_runs:int ->
   ?preemption_bound:int ->
   ?max_plans:int ->
-  fault_bound:int ->
+  ?fault_bound:int ->
   unit ->
   report
-(** {!check_liveness} over the fault sweep
-    ({!Conc.Explore.liveness_with_faults}): no fault plan of at most
-    [fault_bound] faults — crashes, forced CAS failures, clock delays —
-    may drive the object into a fair non-terminating spin. *)
+(** The liveness obligation, via {!Conc.Explore.liveness_with_faults}:
+    every maximal run is classified by the bounded-fairness watchdog, and
+    each {e livelocked} run — incomplete at [fuel], decisions still
+    enabled, no thread left enabled-but-unscheduled for [window]
+    consecutive decisions — becomes a problem (with its witness schedule
+    and plan). Starved runs are excused as scheduler unfairness; deadlocks
+    are the legitimate blocking behaviour of timed/blocking structures.
+    [complete_runs] counts the runs in which every thread returned.
+
+    [fault_bound] (default [0], fault-free) extends the sweep over every
+    fault plan of at most that many faults — crashes, forced CAS
+    failures, and clock delays when [delay_factors] is given — so no plan
+    may drive the object into a fair non-terminating spin. [max_plans]
+    caps the plan enumeration (recorded as truncation). *)
 
 val check_black_box :
   ?domains:int ->
@@ -188,6 +187,7 @@ val check_black_box :
 val check_durable :
   ?checker:[ `Cal | `Lin ] ->
   ?cache:bool ->
+  ?delay_factors:int list ->
   setup:(Conc.Ctx.t -> Conc.Runner.durable) ->
   spec:Cal.Spec.t ->
   fuel:int ->
@@ -195,6 +195,7 @@ val check_durable :
   ?preemption_bound:int ->
   ?max_plans:int ->
   ?max_crash_depth:int ->
+  ?fault_bound:int ->
   unit ->
   report
 (** The durable obligation: explore every interleaving of the durable
@@ -212,24 +213,10 @@ val check_durable :
     explainable in sequence, with crash-pending operations either
     persisted (ordered before the next era) or lost (dropped). A failing
     run reports the (schedule, plan) witness, replayable byte-for-byte
-    via {!Conc.Runner.replay_durable}. *)
+    via {!Conc.Runner.replay_durable}.
 
-val check_durable_with_faults :
-  ?checker:[ `Cal | `Lin ] ->
-  ?cache:bool ->
-  ?delay_factors:int list ->
-  setup:(Conc.Ctx.t -> Conc.Runner.durable) ->
-  spec:Cal.Spec.t ->
-  fuel:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  ?max_plans:int ->
-  ?max_crash_depth:int ->
-  fault_bound:int ->
-  unit ->
-  report
-(** {!check_durable} with per-thread faults crossed in: every plan of at
-    most [fault_bound] thread crashes / forced CAS failures / clock
+    [fault_bound] (default [0]) crosses per-thread faults in: every plan
+    of at most [fault_bound] thread crashes / forced CAS failures / clock
     delays ([delay_factors]) is explored on its own and combined with the
     system-crash sweep, so e.g. a thread dying mid-operation {e and} the
     whole system crashing later is covered. Thread crashes feed the
@@ -239,10 +226,11 @@ val check_durable_with_faults :
 (** {1 Sampled checking}
 
     Beyond fuel ~16–18 the exhaustive sweeps stop being practical; the
-    [check_sampled*] family trades completeness for reach: run the
-    program [budget] times under a randomized {!Conc.Sampler} scheduler
-    (jointly sampling schedule × fault plan × crash plan for the
-    [_with_faults]/[_durable] variants) and check every outcome with the
+    two sampled checks, {!check_sampled} and {!check_sampled_durable},
+    trade completeness for reach: run the program [budget] times under a
+    randomized {!Conc.Sampler} scheduler (jointly sampling schedule ×
+    fault plan × crash plan when given a [fault_bound], and always for
+    durable programs) and check every outcome with the
     same obligations as the exhaustive checks. The loop exits early at
     the first violation; the witness is then minimized with
     {!Conc.Shrink} (unless [~shrink:false]) and rendered as a
@@ -263,20 +251,6 @@ val check_sampled :
   ?kind:Conc.Sampler.kind ->
   ?seed:int64 ->
   ?shrink:bool ->
-  setup:(Conc.Ctx.t -> Conc.Runner.program) ->
-  spec:Cal.Spec.t ->
-  view:Cal.View.t ->
-  fuel:int ->
-  budget:int ->
-  unit ->
-  report
-(** Both obligations ({!check_outcome}) over [budget] fault-free sampled
-    runs. Defaults: [kind = Pct {d = 3}], [seed = 1L], [shrink = true]. *)
-
-val check_sampled_with_faults :
-  ?kind:Conc.Sampler.kind ->
-  ?seed:int64 ->
-  ?shrink:bool ->
   ?delay_factors:int list ->
   ?fault_bound:int ->
   setup:(Conc.Ctx.t -> Conc.Runner.program) ->
@@ -286,11 +260,17 @@ val check_sampled_with_faults :
   budget:int ->
   unit ->
   report
-(** {!check_sampled} with a fault plan drawn per run from a
-    {!Conc.Sampler.plan_space} learned by a few probe walks: up to
-    [fault_bound] (default [1]) thread crashes / forced CAS failures /
-    stalls / clock delays ([delay_factors]) per plan. The empty plan is
-    in the support, so fault-free behaviour is covered too. *)
+(** Both obligations ({!check_outcome}) over [budget] sampled runs.
+    Defaults: [kind = Pct {d = 3}], [seed = 1L], [shrink = true].
+
+    Without [fault_bound] every run is fault-free and the seed's RNG
+    stream feeds the scheduler alone. With [fault_bound], a fault plan
+    is drawn per run from a {!Conc.Sampler.plan_space} learned by a few
+    probe walks first: up to [fault_bound] thread crashes / forced CAS
+    failures / stalls / clock delays ([delay_factors]) per plan. The
+    empty plan is in the support, so fault-free behaviour is covered
+    too. [delay_factors] without [fault_bound] raises
+    [Invalid_argument]. *)
 
 val check_sampled_durable :
   ?checker:[ `Cal | `Lin ] ->

@@ -162,10 +162,12 @@ let result_of ~threads m (outcome : Runner.outcome) =
 let measure ?(plan = []) ~threads ~fuel ~seed ~setup () =
   let m = meter () in
   let outcome =
-    Runner.run_random ~plan
-      ~setup:(fun ctx ->
-        let program = setup ctx ~counters:m.counters in
-        { program with Runner.on_label = Some m.charge })
+    Sampler.run ~plan ~kind:Sampler.Random_walk
+      ~target:
+        (Runner.Program
+           (fun ctx ->
+             let program = setup ctx ~counters:m.counters in
+             { program with Runner.on_label = Some m.charge }))
       ~fuel
       ~rng:(Rng.create ~seed)
       ()
@@ -181,14 +183,16 @@ let measure_durable ?(plan = []) ~threads ~fuel ~seed ~setup () =
     { p with Runner.on_label = Some m.charge }
   in
   let outcome =
-    Runner.run_random_durable ~plan
-      ~setup:(fun ctx ->
-        let d = setup ctx ~counters:m.counters in
-        {
-          d with
-          Runner.boot = with_charge d.Runner.boot;
-          recover = (fun ~epoch -> with_charge (d.Runner.recover ~epoch));
-        })
+    Sampler.run ~plan ~kind:Sampler.Random_walk
+      ~target:
+        (Runner.Durable
+           (fun ctx ->
+             let d = setup ctx ~counters:m.counters in
+             {
+               d with
+               Runner.boot = with_charge d.Runner.boot;
+               recover = (fun ~epoch -> with_charge (d.Runner.recover ~epoch));
+             }))
       ~fuel
       ~rng:(Rng.create ~seed)
       ()
@@ -407,8 +411,8 @@ let explore_cost ~engine ~setup ~fuel ?max_runs ?preemption_bound () =
             ?preemption_bound ~f:ignore () )
     | `Dpor ->
         ( "dpor",
-          Explore.exhaustive_strategy ~strategy:Explore.Dpor ~setup ~fuel
-            ?max_runs ~f:ignore () )
+          Explore.exhaustive ~strategy:Explore.Dpor ~setup ~fuel ?max_runs
+            ~f:ignore () )
   in
   let steps_executed =
     match engine with
@@ -495,15 +499,9 @@ let sampling_cost_of_report ~scenario ~kind ~seed ~budget
 
 let sampling_cost ~kind ~seed ~budget ?fault_bound (s : Scenarios.t) =
   let report =
-    match fault_bound with
-    | None ->
-        Verify.Obligations.check_sampled ~kind ~seed ~setup:s.Scenarios.setup
-          ~spec:s.Scenarios.spec ~view:s.Scenarios.view ~fuel:s.Scenarios.fuel
-          ~budget ()
-    | Some fault_bound ->
-        Verify.Obligations.check_sampled_with_faults ~kind ~seed ~fault_bound
-          ~setup:s.Scenarios.setup ~spec:s.Scenarios.spec ~view:s.Scenarios.view
-          ~fuel:s.Scenarios.fuel ~budget ()
+    Verify.Obligations.check_sampled ~kind ~seed ?fault_bound
+      ~setup:s.Scenarios.setup ~spec:s.Scenarios.spec ~view:s.Scenarios.view
+      ~fuel:s.Scenarios.fuel ~budget ()
   in
   sampling_cost_of_report ~scenario:s.Scenarios.name ~kind ~seed ~budget report
 

@@ -141,8 +141,9 @@ val explore_cost :
     incremental engine
     spread over [d] worker domains ({!Conc.Par_explore}) — same runs and
     nodes, [replayed_steps] grows by the task-prefix replays. [`Dpor]
-    runs {!Conc.Explore.exhaustive_strategy} ([preemption_bound] is
-    ignored there — the strategy defines the run set). *)
+    runs {!Conc.Explore.exhaustive} with [~strategy:Dpor]
+    ([preemption_bound] is ignored there — the strategy defines the run
+    set). *)
 
 val pp_explore_cost : Format.formatter -> explore_cost -> unit
 

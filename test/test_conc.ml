@@ -268,13 +268,11 @@ let test_random_exploration_deterministic () =
     { Runner.threads = [| th; th |]; observe = None; on_label = None }
   in
   let collect seed =
-    let acc = ref [] in
-    let _ =
-      Explore.random ~setup ~fuel:100 ~runs:20 ~seed
-        ~f:(fun o -> acc := o.Runner.results :: !acc)
-      ()
-    in
-    !acc
+    let rng = Rng.create ~seed in
+    List.init 20 (fun _ ->
+        (Sampler.run ~kind:Sampler.Random_walk ~target:(Runner.Program setup)
+           ~fuel:100 ~rng ())
+          .Runner.results)
   in
   check_bool "same seed same outcomes" true (collect 5L = collect 5L);
   check_bool "exploration happened" true (List.length (collect 5L) = 20)

@@ -114,7 +114,7 @@ let test_races_of_schedule () =
     | Some s -> s
     | None -> Alcotest.fail "no run delivered"
   in
-  let races = Explore.races_of ~setup:race_setup schedule in
+  let races = Explore.races_of ~target:(Runner.Program race_setup) schedule in
   let pair (r : Witness.race) =
     ((min r.r_thread_a r.r_thread_b, max r.r_thread_a r.r_thread_b), r.r_loc)
   in
@@ -274,8 +274,7 @@ let lost_update_setup ctx =
 let test_dpor_keeps_lost_update () =
   let lost = ref false in
   let stats =
-    Explore.exhaustive_strategy ~strategy:Explore.Dpor ~setup:lost_update_setup
-      ~fuel:8
+    Explore.exhaustive ~strategy:Explore.Dpor ~setup:lost_update_setup ~fuel:8
       ~f:(fun (o : Runner.outcome) ->
         match (o.Runner.results.(0), o.Runner.results.(1)) with
         | Some a, Some b ->
@@ -356,8 +355,23 @@ let test_bounded_matches_oracle () =
               in
               let stats, got =
                 schedules_of (fun f ->
-                    Explore.exhaustive_strategy ~strategy ~setup ~fuel ~f ())
+                    Explore.exhaustive ~strategy ~setup ~fuel ~f ())
               in
+              (* [?preemption_bound:b] is shorthand for the same sweep *)
+              (if not delay then
+                 let short, short_got =
+                   schedules_of (fun f ->
+                       Explore.exhaustive ~preemption_bound:bound ~setup ~fuel
+                         ~f ())
+                 in
+                 check_bool (label ^ ": ?preemption_bound, same schedules")
+                   true (short_got = got);
+                 Alcotest.(check int)
+                   (label ^ ": ?preemption_bound, same runs")
+                   stats.Explore.runs short.Explore.runs;
+                 Alcotest.(check int)
+                   (label ^ ": ?preemption_bound, same bound hits")
+                   stats.Explore.bound_hits short.Explore.bound_hits);
               let want =
                 List.filter_map
                   (fun (s, c) -> if c <= bound then Some s else None)
@@ -381,8 +395,8 @@ let test_bounded_matches_oracle () =
   List.iter
     (fun strategy ->
       let st =
-        Explore.exhaustive_strategy ~strategy ~setup:lost_update_setup ~fuel
-          ~f:ignore ()
+        Explore.exhaustive ~strategy ~setup:lost_update_setup ~fuel ~f:ignore
+          ()
       in
       let name = Explore.strategy_to_string strategy in
       Alcotest.(check int)
@@ -396,14 +410,21 @@ let test_bounded_matches_oracle () =
       Explore.Delay_bounded { bound = 64 };
     ];
   let cut =
-    Explore.exhaustive_strategy
+    Explore.exhaustive
       ~strategy:(Explore.Delay_bounded { bound = 0 })
       ~setup:lost_update_setup ~fuel ~f:ignore ()
   in
   check_bool "a cutting bound reports bounded=true" true cut.Explore.bounded;
   check_bool "a cutting bound counts its hits" true (cut.Explore.bound_hits > 0);
   Alcotest.(check int) "delay bound 0 is the single default run" 1
-    cut.Explore.runs
+    cut.Explore.runs;
+  check_bool "?preemption_bound with a non-Dfs strategy is rejected" true
+    (match
+       Explore.exhaustive ~strategy:Explore.Dpor ~preemption_bound:1
+         ~setup:lost_update_setup ~fuel ~f:ignore ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 (* [?preemption_bound] is the same bounded sweep as [Preemption_bounded],
    and reports its cuts the same way through every entry point: the trio

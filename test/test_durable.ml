@@ -186,8 +186,9 @@ let stack_scen = S.stack_crash_recovery ()
 let test_durable_replay_determinism () =
   let plan = [ Fault.crash_system ~at_step:4 ] in
   let o1 =
-    Runner.run_random_durable ~plan ~setup:stack_scen.S.d_setup
-      ~fuel:stack_scen.S.d_fuel ~rng:(Rng.create ~seed:5L) ()
+    Sampler.run ~plan ~kind:Sampler.Random_walk
+      ~target:(Runner.Durable stack_scen.S.d_setup) ~fuel:stack_scen.S.d_fuel
+      ~rng:(Rng.create ~seed:5L) ()
   in
   Alcotest.(check int) "crash fired" 2 o1.Runner.epochs;
   Alcotest.(check int) "crash marker logged" 1 (History.crash_count o1.Runner.history);
@@ -206,8 +207,9 @@ let test_crash_point_zero () =
      recovery: era 1 is the whole run *)
   let plan = [ Fault.crash_system ~at_step:0 ] in
   let o =
-    Runner.run_random_durable ~plan ~setup:stack_scen.S.d_setup
-      ~fuel:stack_scen.S.d_fuel ~rng:(Rng.create ~seed:1L) ()
+    Sampler.run ~plan ~kind:Sampler.Random_walk
+      ~target:(Runner.Durable stack_scen.S.d_setup) ~fuel:stack_scen.S.d_fuel
+      ~rng:(Rng.create ~seed:1L) ()
   in
   Alcotest.(check int) "two epochs" 2 o.Runner.epochs;
   let entries = History.entries o.Runner.history in

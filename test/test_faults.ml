@@ -71,7 +71,8 @@ let test_delay_applies_before_crash () =
     [ Fault.delay ~thread:0 ~factor:3; Fault.crash_system ~at_step:2 ]
   in
   let o =
-    Runner.run_random_durable ~plan ~setup ~fuel:10 ~rng:(Rng.create ~seed:1L) ()
+    Sampler.run ~plan ~kind:Sampler.Random_walk ~target:(Runner.Durable setup)
+      ~fuel:10 ~rng:(Rng.create ~seed:1L) ()
   in
   Alcotest.(check int) "crash fired" 2 o.Runner.epochs;
   Alcotest.(check (list int))
