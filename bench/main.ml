@@ -43,6 +43,32 @@ open Bechamel
 open Toolkit
 open Cal
 module S = Workloads.Scenarios
+module O = Verify.Obligations
+
+(* A preemption bound as a default strategy, like a scenario's [bound]. *)
+let bounded = function
+  | None -> O.Default Conc.Explore.Dfs
+  | Some bound -> O.Default (Preemption_bounded { bound })
+
+(* The scenario's exhaustive config under [strategy] (default: the plain
+   DFS — not the scenario's bound, which [S.config] has) at [fuel]
+   (default: its own), deciding the trace obligation, or CAL on the
+   history alone when [black_box]. *)
+let exhaustive ?(strategy = bounded None) ?domains ?fuel ?(black_box = false)
+    ?cache (s : S.t) =
+  {
+    (S.config s) with
+    obligation =
+      (if black_box then History { spec = s.spec; checker = `Cal; cache }
+       else Trace { spec = s.spec; view = s.view });
+    search = Exhaustive { strategy; domains; max_runs = None };
+    fuel = Option.value fuel ~default:s.fuel;
+  }
+
+(* [budget] runs under the [kind] sampler (default PCT, depth 3). *)
+let sampled ?(kind = Conc.Sampler.Pct { d = 3 }) ?(seed = 1L) budget =
+  O.Sampled
+    { sampling = { s_kind = kind; s_seed = seed; s_budget = budget }; shrink = true }
 
 let mode =
   if Array.exists (fun a -> a = "faults") Sys.argv then `Faults
@@ -158,9 +184,7 @@ let b5 =
   let conc = S.elim_stack_push_pop ~k:1 () in
   let abs = S.elim_stack_push_pop ~abstract:true ~k:1 () in
   let verify (s : S.t) () =
-    ignore
-      (Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-         ~fuel:s.fuel ())
+    ignore (O.check (exhaustive s))
   in
   [
     Test.make ~name:"modularity/elim-stack-concrete" (Staged.stage (verify conc));
@@ -229,9 +253,7 @@ let b7 =
    verification. *)
 let b8 =
   let verify (s : S.t) () =
-    ignore
-      (Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-         ~fuel:s.fuel ?preemption_bound:s.bound ())
+    ignore (O.check (S.config s))
   in
   [
     Test.make ~name:"blocking/dual-queue-enq-deq"
@@ -399,7 +421,7 @@ let figure_timeouts () =
   let scen = S.exchanger_timed_pair () in
   let window = 8 in
   let plans_explored, live =
-    Conc.Explore.liveness_with_faults ~delay_factors:[ 2 ] ~setup:scen.setup
+    Conc.Explore.liveness ~delay_factors:[ 2 ] ~setup:scen.setup
       ~fuel:scen.fuel ~window
       ~max_plans:(if quick then 40 else 200)
       ~fault_bound:1 ()
@@ -572,11 +594,10 @@ let figure_dpor () =
             s.name dpor.explored_runs full.explored_runs;
         (* the reduction must not change what is decided *)
         let verdict strategy =
-          Verify.Obligations.ok
-            (Verify.Obligations.check_black_box ?strategy ~setup:s.setup
-               ~spec:s.spec ~fuel ())
+          O.ok (O.check (exhaustive ?strategy ~fuel ~black_box:true s))
         in
-        let v_dfs = verdict None and v_dpor = verdict (Some Conc.Explore.Dpor) in
+        let v_dfs = verdict None
+        and v_dpor = verdict (Some (O.Explicit Conc.Explore.Dpor)) in
         if v_dfs <> v_dpor then
           Fmt.failwith "B18: DPOR changed the verdict on %s: dfs=%b dpor=%b"
             s.name v_dfs v_dpor;
@@ -595,9 +616,10 @@ let figure_dpor () =
               s.name
           else
             let r =
-              Verify.Obligations.check_object
-                ~strategy:(Conc.Explore.Delay_bounded { bound = b })
-                ~setup:s.setup ~spec:s.spec ~view:s.view ~fuel:s.fuel ()
+              O.check
+                (exhaustive
+                   ~strategy:(Explicit (Conc.Explore.Delay_bounded { bound = b }))
+                   s)
             in
             if Verify.Obligations.ok r then find (b + 1)
             else (b, r.Verify.Obligations.runs)
@@ -738,8 +760,9 @@ let figure_parallel () =
       Gc.compact ();
       let t0 = Unix.gettimeofday () in
       let r =
-        Verify.Obligations.check_black_box ~domains ~cache ~setup:s.setup
-          ~spec:s.spec ~fuel ?preemption_bound:bound ()
+        O.check
+          (exhaustive ~strategy:(bounded bound) ~domains ~fuel ~black_box:true
+             ~cache s)
       in
       (r, (Unix.gettimeofday () -. t0) *. 1000.)
     in
@@ -956,7 +979,8 @@ let figure_sampling () =
                 (fun (s : S.t) ->
                   List.map
                     (fun seed ->
-                      Workloads.Metrics.sampling_cost ~kind ~seed ~budget s)
+                      Workloads.Metrics.sampling_cost ~scenario:s.name
+                        { (S.config s) with search = sampled ~kind ~seed budget })
                     seeds)
                 scenarios
             in
@@ -1453,16 +1477,13 @@ let fuzz_pass () =
     (fun (s : S.t) ->
       let budget = if s.expect_ok then 200 else 2000 in
       judge s.name s.expect_ok
-        (Verify.Obligations.check_sampled ~seed:1L ~setup:s.setup ~spec:s.spec
-           ~view:s.view ~fuel:s.fuel ~budget ()))
+        (O.check { (S.config s) with search = sampled budget }))
     (S.all ());
   List.iter
     (fun (d : S.durable) ->
       let budget = if d.d_expect_ok then 200 else 3000 in
       judge d.d_name d.d_expect_ok
-        (Verify.Obligations.check_sampled_durable ~seed:1L
-           ~max_crash_depth:d.d_max_crash_depth ~setup:d.d_setup ~spec:d.d_spec
-           ~fuel:d.d_fuel ~budget ()))
+        (O.check { (S.durable_config d) with search = sampled budget }))
     (S.durable_all ());
   if !failures > 0 then
     Fmt.failwith "fuzz: %d scenario(s) mismatched their expected verdict"
@@ -1488,11 +1509,8 @@ let figure_bug_depth () =
 let figure_verification_cost () =
   Fmt.pr "@.# B5b: verification run counts (modularity payoff, exact)@.";
   let count (s : S.t) =
-    let r =
-      Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-        ~fuel:s.fuel ()
-    in
-    (r.Verify.Obligations.runs, Verify.Obligations.ok r)
+    let r = O.check (exhaustive s) in
+    (r.O.runs, O.ok r)
   in
   let rc, okc = count (S.elim_stack_push_pop ~k:1 ()) in
   let ra, oka = count (S.elim_stack_push_pop ~abstract:true ~k:1 ()) in

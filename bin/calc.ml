@@ -51,24 +51,25 @@ let max_runs_arg =
     & info [ "max-runs" ] ~docv:"N" ~doc:"Cap on explored interleavings")
 
 let verify_scenario ~mode ?max_runs ~fuel (s : S.t) =
-  let fuel = Option.value fuel ~default:s.fuel in
-  let preemption_bound = s.bound in
-  let t0 = Unix.gettimeofday () in
-  let report =
-    match mode with
-    | `Obligations ->
-        Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view ~fuel
-          ?max_runs ?preemption_bound ()
-    | `Black_box ->
-        Verify.Obligations.check_black_box ~setup:s.setup ~spec:s.spec ~fuel ?max_runs
-          ?preemption_bound ()
+  let config = S.config s in
+  let config =
+    {
+      config with
+      obligation =
+        (match mode with
+        | `Obligations -> config.obligation
+        | `Black_box -> History { spec = s.spec; checker = `Cal; cache = None });
+      search =
+        (match config.search with
+        | Exhaustive e -> Exhaustive { e with max_runs }
+        | search -> search);
+      fuel = Option.value fuel ~default:s.fuel;
+    }
   in
+  let t0 = Unix.gettimeofday () in
+  let report = Verify.Obligations.check config in
   let dt = Unix.gettimeofday () -. t0 in
-  pr "%-32s %a%s  (%.2fs)@." s.name Verify.Obligations.pp_report report
-    (match s.bound with
-    | Some b -> Fmt.str " [<=%d preemptions]" b
-    | None -> "")
-    dt;
+  pr "%-32s %a  (%.2fs)@." s.name Verify.Obligations.pp_report report dt;
   Verify.Obligations.ok report = s.expect_ok
 
 let verify_cmd =
@@ -177,27 +178,31 @@ let throughput_cmd =
 
 (* ----------------------------------------------------------------- check *)
 
+(* Every specification the CLI knows by name, built for an optional object
+   id: [check] takes the default one, [serve] one per object. *)
 let spec_by_name name =
   match name with
-  | "exchanger" -> Ok (Spec_exchanger.spec ())
-  | "stack" -> Ok (Spec_stack.spec ())
-  | "stack-spurious" -> Ok (Spec_stack.spec ~allow_spurious_failure:true ())
-  | "queue" -> Ok (Spec_queue.spec ())
-  | "register" -> Ok (Spec_register.spec ())
-  | "counter" -> Ok (Spec_counter.spec ())
-  | "sync-queue" -> Ok (Spec_sync_queue.spec ())
+  | "exchanger" -> Ok (fun oid -> Spec_exchanger.spec ?oid ())
+  | "stack" -> Ok (fun oid -> Spec_stack.spec ?oid ())
+  | "stack-spurious" ->
+      Ok (fun oid -> Spec_stack.spec ?oid ~allow_spurious_failure:true ())
+  | "queue" -> Ok (fun oid -> Spec_queue.spec ?oid ())
+  | "register" -> Ok (fun oid -> Spec_register.spec ?oid ())
+  | "counter" -> Ok (fun oid -> Spec_counter.spec ?oid ())
+  | "sync-queue" -> Ok (fun oid -> Spec_sync_queue.spec ?oid ())
   | _ ->
       Error
         (`Msg
           (Fmt.str
-             "unknown spec %S (one of exchanger, stack, stack-spurious, queue,               register, counter, sync-queue)"
+             "unknown spec %S (one of exchanger, stack, stack-spurious, queue, \
+              register, counter, sync-queue)"
              name))
 
 let check_cmd =
   let spec_arg =
     let spec_conv =
       Arg.conv
-        ( (fun s -> spec_by_name s),
+        ( (fun s -> Result.map (fun build -> build None) (spec_by_name s)),
           (fun ppf (s : Spec.t) -> Fmt.string ppf s.Spec.name) )
     in
     Arg.(required & opt (some spec_conv) None & info [ "spec" ] ~docv:"SPEC")
@@ -301,24 +306,6 @@ let outline_cmd =
    interesting — containment, degradation, eviction — lives in the core
    and is exercised under dune runtest; this loop only does IO. *)
 
-let spec_builder_by_name name =
-  match name with
-  | "exchanger" -> Ok (fun oid -> Spec_exchanger.spec ~oid ())
-  | "stack" -> Ok (fun oid -> Spec_stack.spec ~oid ())
-  | "stack-spurious" ->
-      Ok (fun oid -> Spec_stack.spec ~oid ~allow_spurious_failure:true ())
-  | "queue" -> Ok (fun oid -> Spec_queue.spec ~oid ())
-  | "register" -> Ok (fun oid -> Spec_register.spec ~oid ())
-  | "counter" -> Ok (fun oid -> Spec_counter.spec ~oid ())
-  | "sync-queue" -> Ok (fun oid -> Spec_sync_queue.spec ~oid ())
-  | _ ->
-      Error
-        (`Msg
-          (Fmt.str
-             "unknown spec %S (one of exchanger, stack, stack-spurious, queue, \
-              register, counter, sync-queue)"
-             name))
-
 let journal_has_data dir =
   Sys.file_exists dir && Sys.is_directory dir
   && Array.exists
@@ -331,7 +318,7 @@ let serve_cmd =
   let spec_arg =
     let builder_conv =
       Arg.conv
-        ( (fun s -> spec_builder_by_name s),
+        ( (fun s -> Result.map (fun build oid -> build (Some oid)) (spec_by_name s)),
           fun ppf (_ : Ids.Oid.t -> Spec.t) -> Fmt.string ppf "<spec>" )
     in
     Arg.(

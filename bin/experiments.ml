@@ -119,15 +119,9 @@ let e3 ppf =
     ~measured
     ~ok:(Verify.Exchanger_proof.ok report && Verify.Exchanger_proof.ok pair_report)
 
-let check_scenario ppf ~id ~claim ?max_runs ?preemption_bound (s : S.t) =
-  let preemption_bound =
-    match preemption_bound with Some _ as b -> b | None -> s.bound
-  in
-  let report, dt =
-    timed (fun () ->
-        Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-          ~fuel:s.fuel ?max_runs ?preemption_bound ())
-  in
+(* The scenario's obligations at its own fuel and preemption bound. *)
+let check_scenario ppf ~id ~claim (s : S.t) =
+  let report, dt = timed (fun () -> Verify.Obligations.check (S.config s)) in
   let measured =
     Fmt.str "%s: %d runs (%d complete), %d problems%s (%.1fs)" s.name report.runs
       report.complete_runs
@@ -176,26 +170,22 @@ let e5 ppf =
   let claim = "elimination stack meets the sequential stack spec through F_ES" in
   ignore (check_scenario ppf ~id:"E5/ES-push-pop" ~claim (S.elim_stack_push_pop ~k:1 ()));
   ignore
-    (check_scenario ppf ~id:"E5/ES-lifo" ~claim ~preemption_bound:2
+    (check_scenario ppf ~id:"E5/ES-lifo" ~claim
        (S.elim_stack_sequential_then_pop ~k:1));
   ignore
-    (check_scenario ppf ~id:"E5/ES-2x2" ~claim ~preemption_bound:2
-       (S.elim_stack_two_two ~k:1 ()))
+    (check_scenario ppf ~id:"E5/ES-2x2" ~claim (S.elim_stack_two_two ~k:1 ()))
 
 (* E6 — §5 modularity: substituting the abstract exchanger preserves the
    verdict and shrinks the state space. *)
 let e6 ppf =
   let concrete, dt_c =
     timed (fun () ->
-        let s = S.elim_stack_push_pop ~k:1 () in
-        Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-          ~fuel:s.fuel ())
+        Verify.Obligations.check (S.config (S.elim_stack_push_pop ~k:1 ())))
   in
   let abstract, dt_a =
     timed (fun () ->
-        let s = S.elim_stack_push_pop ~abstract:true ~k:1 () in
-        Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-          ~fuel:s.fuel ())
+        Verify.Obligations.check
+          (S.config (S.elim_stack_push_pop ~abstract:true ~k:1 ())))
   in
   let measured =
     Fmt.str
@@ -219,8 +209,7 @@ let e7 ppf =
   let claim = "synchronous queue meets its CA-spec (rendezvous elements) via F_SQ" in
   ignore (check_scenario ppf ~id:"E7/SQ-pair" ~claim (S.sync_queue_pair ()));
   ignore
-    (check_scenario ppf ~id:"E7/SQ-2put" ~claim ~preemption_bound:3
-       (S.sync_queue_two_producers ()));
+    (check_scenario ppf ~id:"E7/SQ-2put" ~claim (S.sync_queue_two_producers ()));
   ignore (check_scenario ppf ~id:"E7/DQ-pair" ~claim:"dual queue: fulfilment is one CA-element" (S.dual_queue_enq_deq ()));
   ignore
     (check_scenario ppf ~id:"E7/DQ-2cons"

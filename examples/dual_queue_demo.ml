@@ -52,18 +52,12 @@ let () =
   (* Exhaustive verification of both scenarios. *)
   List.iter
     (fun (sc : S.t) ->
-      let report =
-        Verify.Obligations.check_object ~setup:sc.setup ~spec:sc.spec ~view:sc.view
-          ~fuel:sc.fuel ()
-      in
+      let report = Verify.Obligations.check (S.config sc) in
       Fmt.pr "%-28s %a@." sc.name Verify.Obligations.pp_report report)
     [ S.dual_queue_enq_deq (); S.dual_queue_two_consumers () ];
 
   (* And the elimination-backed FIFO queue: same idea, but elimination is
      only legal on an empty queue — FIFO survives. *)
   let sc = S.elim_queue_fifo () in
-  let report =
-    Verify.Obligations.check_object ~setup:sc.setup ~spec:sc.spec ~view:sc.view
-      ~fuel:sc.fuel ?preemption_bound:sc.bound ()
-  in
+  let report = Verify.Obligations.check (S.config sc) in
   Fmt.pr "%-28s %a@." sc.name Verify.Obligations.pp_report report

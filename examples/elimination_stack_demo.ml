@@ -53,17 +53,11 @@ let () =
 
   (* Exhaustive verification, as in the paper's §5. *)
   let sc = S.elim_stack_push_pop ~k:1 () in
-  let report =
-    Verify.Obligations.check_object ~setup:sc.setup ~spec:sc.spec ~view:sc.view
-      ~fuel:sc.fuel ()
-  in
+  let report = Verify.Obligations.check (S.config sc) in
   Fmt.pr "modular obligations over every interleaving: %a@."
     Verify.Obligations.pp_report report;
 
   (* LIFO order is real: a scenario with two pushes. *)
   let sc2 = S.elim_stack_sequential_then_pop ~k:1 in
-  let report2 =
-    Verify.Obligations.check_object ~setup:sc2.setup ~spec:sc2.spec ~view:sc2.view
-      ~fuel:sc2.fuel ~preemption_bound:2 ()
-  in
+  let report2 = Verify.Obligations.check (S.config sc2) in
   Fmt.pr "LIFO scenario (<=2 preemptions): %a@." Verify.Obligations.pp_report report2

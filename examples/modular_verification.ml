@@ -15,10 +15,7 @@ module S = Workloads.Scenarios
 
 let check (sc : S.t) =
   let t0 = Unix.gettimeofday () in
-  let report =
-    Verify.Obligations.check_object ~setup:sc.setup ~spec:sc.spec ~view:sc.view
-      ~fuel:sc.fuel ()
-  in
+  let report = Verify.Obligations.check (S.config sc) in
   let dt = Unix.gettimeofday () -. t0 in
   Fmt.pr "%-40s %a  (%.2fs)@." sc.name Verify.Obligations.pp_report report dt;
   report
@@ -35,8 +32,5 @@ let () =
 
   (* The abstract exchanger itself satisfies the same specification. *)
   let sc = S.exchanger_abstract_pair () in
-  let r =
-    Verify.Obligations.check_object ~setup:sc.setup ~spec:sc.spec ~view:sc.view
-      ~fuel:sc.fuel ()
-  in
+  let r = Verify.Obligations.check (S.config sc) in
   Fmt.pr "@.abstract exchanger vs exchanger spec: %a@." Verify.Obligations.pp_report r

@@ -36,10 +36,7 @@ let () =
 
   List.iter
     (fun (sc : S.t) ->
-      let report =
-        Verify.Obligations.check_object ~setup:sc.setup ~spec:sc.spec ~view:sc.view
-          ~fuel:sc.fuel ?preemption_bound:sc.bound ()
-      in
+      let report = Verify.Obligations.check (S.config sc) in
       Fmt.pr "%-28s %a@." sc.name Verify.Obligations.pp_report report)
     [ S.sync_queue_pair (); S.sync_queue_two_producers () ];
 

@@ -24,25 +24,6 @@ let verdict_cache_capacity () =
       | Some n when n > 0 -> Some n
       | _ -> None)
 
-(* Racing-pair lines printed per witness report. A long witness schedule
-   can race at every other step; the first few pairs carry the
-   explanation, the rest is noise. *)
-let witness_race_cap () =
-  match Sys.getenv_opt "CAL_WITNESS_RACE_CAP" with
-  | None | Some "" -> 8
-  | Some s -> (
-      match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 8)
-
-(* Donation grain for the work-stealing explorer: a frame is only donated
-   when its subtree has at least this many levels left, so workers don't
-   ship chunks worth a handful of leaves — the replay to reconstruct the
-   node would cost more than running them locally. *)
-let explore_donation_min_height () =
-  match Sys.getenv_opt "CAL_EXPLORE_DONATE_MIN" with
-  | None | Some "" -> 2
-  | Some s -> (
-      match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 2)
-
 (* A boolean switch is on for 1/true/yes/on, off for anything else. *)
 let env_flag v =
   match Sys.getenv_opt v with

@@ -18,19 +18,6 @@ val verdict_cache_capacity : unit -> int option
     Exploration engines stay unbounded by default; long-running services
     set the variable to cap memo growth. *)
 
-val witness_race_cap : unit -> int
-(** Maximum racing step pairs printed per witness report
-    ({!Verify.Obligations}'s renderers), from [CAL_WITNESS_RACE_CAP]
-    (a non-negative integer; default [8]). The remainder is summarized
-    as a count. *)
-
-val explore_donation_min_height : unit -> int
-(** Minimum remaining subtree height (fuel minus node depth) for a DFS
-    node to be donated to an idle worker by the parallel explorer, from
-    [CAL_EXPLORE_DONATE_MIN] (a non-negative integer; default [2]).
-    Larger values make chunks coarser — fewer, bigger steals; [0] lets
-    even pre-leaf nodes be donated. *)
-
 val explore_oversubscribe : unit -> bool
 (** [CAL_EXPLORE_OVERSUBSCRIBE] is on ([1]/[true]/[yes]/[on]): the
     parallel explorer spawns as many worker domains as requested, past

@@ -209,7 +209,7 @@ let exhaustive_via_replay ?(plan = []) ~setup ~fuel ?max_runs ?preemption_bound
   let rec explore prefix ~last ~preemptions =
     incr nodes;
     replayed := !replayed + List.length prefix;
-    let outcome, frontier = Runner.replay ~plan ~setup prefix in
+    let outcome, frontier = Runner.replay_target ~plan (Program setup) prefix in
     if frontier = [] || outcome.Runner.steps >= fuel then deliver outcome
     else begin
       let last_enabled =
@@ -710,9 +710,6 @@ let liveness_core ?(plan = []) ~setup ~fuel ~window ?max_runs ?preemption_bound
     live_truncated = stats.truncated;
   }
 
-let liveness ?plan ~setup ~fuel ~window ?max_runs ?preemption_bound () =
-  liveness_core ?plan ~setup ~fuel ~window ?max_runs ?preemption_bound ()
-
 let merge_liveness a b =
   {
     live_runs = a.live_runs + b.live_runs;
@@ -728,12 +725,13 @@ let merge_liveness a b =
 
 (* The watchdog over the fault sweep: classify every run of every plan of
    at most [fault_bound] faults (the plan enumeration of
-   [exhaustive_with_faults]). The fault-free classification pass doubles
-   as the candidate learner, so the fault-free state space is executed
-   once. Crashed and stalled threads are never enabled, so their
-   non-termination classifies as deadlock, not livelock. *)
-let liveness_with_faults ?delay_factors ~setup ~fuel ~window ?max_runs
-    ?preemption_bound ?max_plans ~fault_bound () =
+   [exhaustive_with_faults]; just the fault-free plan at [0]). The
+   fault-free classification pass doubles as the candidate learner, so the
+   fault-free state space is executed once. Crashed and stalled threads are
+   never enabled, so their non-termination classifies as deadlock, not
+   livelock. *)
+let liveness ?delay_factors ?max_plans ?(fault_bound = 0) ~setup ~fuel ~window
+    ?max_runs ?preemption_bound () =
   let free, plan_seq, was_capped =
     fault_plans ?delay_factors ?max_plans ~fault_bound (fun learn ->
         liveness_core ~setup ~fuel ~window ?max_runs ?preemption_bound

@@ -75,8 +75,7 @@ type stats = Engine.stats = {
   sampled_runs : int;
       (** randomly sampled executions ({!Sampler}) delivered; always [0]
           straight out of the exhaustive engine — patched in by
-          {!Verify.Obligations.check_sampled} and
-          {!Verify.Obligations.check_sampled_durable} *)
+          {!Verify.Obligations.check}'s sampled search *)
   violations_found : int;
       (** sampled runs on which the checked obligation failed (with
           early-exit sampling this is [0] or [1]) *)
@@ -386,7 +385,7 @@ val exhaustive_with_crashes :
     [f] carry their plan in [outcome.faults], the crashes that actually
     fired in [outcome.injected], and the era count in [outcome.epochs];
     the witness for any violation is the replayable pair
-    ([outcome.schedule], [outcome.faults]) via {!Runner.replay_durable}. *)
+    ([outcome.schedule], [outcome.faults]) via {!Runner.replay_target}. *)
 
 (** {1 Liveness watchdog}
 
@@ -447,41 +446,33 @@ type liveness_stats = {
 }
 
 val liveness :
-  ?plan:Fault.plan ->
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  window:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  unit ->
-  liveness_stats
-(** Exhaustively explore (like {!exhaustive}) and classify every maximal
-    run with the watchdog, threading the idle counters down each path as
-    the DFS's per-path state (one pass, no per-prefix replays). Runs on
-    one domain (no [domains]): the witness cap is order-dependent state
-    kept simple by a single accumulator (DESIGN §2.11). An
-    object passes the liveness obligation when [live_livelocked = 0]: on
-    every fair schedule it either finishes or genuinely blocks. *)
-
-val liveness_with_faults :
   ?delay_factors:int list ->
+  ?max_plans:int ->
+  ?fault_bound:int ->
   setup:(Ctx.t -> Runner.program) ->
   fuel:int ->
   window:int ->
   ?max_runs:int ->
   ?preemption_bound:int ->
-  ?max_plans:int ->
-  fault_bound:int ->
   unit ->
   int * liveness_stats
-(** {!liveness} over the fault sweep: the plan enumeration of
-    {!exhaustive_with_faults} (including [delay_factors] candidates), each
-    plan explored and classified by the watchdog. The fault-free
-    classification pass doubles as the candidate learner, so the
-    fault-free state space is executed once. Returns (plans explored,
-    merged stats). Crashed and stalled threads are never enabled, so a run
-    they cut short classifies as deadlocked or starved — never as a
-    livelock of the object. *)
+(** Exhaustively explore (like {!exhaustive}) and classify every maximal
+    run with the watchdog, threading the idle counters down each path as
+    the DFS's per-path state (one pass, no per-prefix replays), under
+    every plan of the fault sweep: the plan enumeration of
+    {!exhaustive_with_faults} for plans of at most [fault_bound] (default
+    [0]: the fault-free plan only) faults, including [delay_factors]
+    candidates, capped by [max_plans] (recorded as truncation). The
+    fault-free classification pass doubles as the candidate learner, so
+    the fault-free state space is executed once. Returns (plans explored,
+    merged stats).
+
+    Runs on one domain (no [domains]): the witness cap is order-dependent
+    state kept simple by a single accumulator (DESIGN §2.11). Crashed and
+    stalled threads are never enabled, so a run they cut short classifies
+    as deadlocked or starved — never as a livelock of the object. An
+    object passes the liveness obligation when [live_livelocked = 0]: on
+    every fair schedule it either finishes or genuinely blocks. *)
 
 val failure_depth :
   setup:(Ctx.t -> Runner.program) ->

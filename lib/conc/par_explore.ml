@@ -197,11 +197,16 @@ let effective_domains requested =
 
 (* ------------------------------------------------------------- explore -- *)
 
+(* Donation grain: a frame is only donated when its subtree has at least
+   this many levels left (fuel minus node depth), so workers don't ship
+   chunks worth a handful of leaves — the replay to reconstruct the node
+   would cost more than running them locally. *)
+let donate_min = 2
+
 let explore ~domains ?max_runs ?bound ~restart ~fuel ~init_path
     ~step_path ~init ~f ?stop_on () =
   let requested = max 1 domains in
   let domains = effective_domains requested in
-  let donate_min = Cal.Tuning.explore_donation_min_height () in
   (* The run budget is shared by all workers: a delivery is admitted while
      budget remains, and the delivery that spends the last unit ends the
      search as truncated — so a sweep that uses up [max_runs] exactly is

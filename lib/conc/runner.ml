@@ -394,15 +394,13 @@ let snapshot e =
 
 let outcome = snapshot
 
-let replay ?(plan = []) ~setup sched =
-  let e = start ~plan ~setup () in
+let replay_target ?plan target sched =
+  let e = start_target ?plan target in
   List.iter (fun d -> ignore (step e d)) sched;
   (snapshot e, frontier e)
 
-let replay_durable ?(plan = []) ~setup sched =
-  let e = start_durable ~plan ~setup () in
-  List.iter (fun d -> ignore (step e d)) sched;
-  (snapshot e, frontier e)
+(* Kept only because the benchmark (perfbench/bench.ml) calls it. *)
+let replay ?plan ~setup sched = replay_target ?plan (Program setup) sched
 
 let outcome_equal a b =
   let value_opt_equal x y =

@@ -135,19 +135,20 @@ val last_step_accesses : exec -> (string list * string list) option
     see {!Ctx.step_accesses}. Valid until the next {!step}. The DPOR engine
     turns this into the step's dependency footprint. *)
 
+val replay_target :
+  ?plan:Fault.plan -> target -> schedule -> outcome * frontier
+(** [replay_target t s] builds a fresh program of [t] and applies the
+    decisions of [s] in order — the one strict replay, a thin wrapper over
+    {!start_target}/{!step} preserving byte-for-byte replay determinism.
+    Witnesses found by crash exploration replay with the same
+    (schedule, plan) pair. Raises [Invalid_argument] when a decision is
+    not enabled (wrong thread state, branch out of range, or a thread the
+    plan has crashed or stalled) or when the plan fails {!Fault.validate}. *)
+
 val replay :
   ?plan:Fault.plan -> setup:(Ctx.t -> program) -> schedule -> outcome * frontier
-(** [replay ~setup s] builds a fresh program and applies the decisions of
-    [s] in order — a thin wrapper over {!start}/{!step} preserving
-    byte-for-byte replay determinism. Raises [Invalid_argument] when a
-    decision is not enabled (wrong thread state, branch out of range, or a
-    thread the plan has crashed or stalled) or when the plan fails
-    {!Fault.validate}. *)
-
-val replay_durable :
-  ?plan:Fault.plan -> setup:(Ctx.t -> durable) -> schedule -> outcome * frontier
-(** {!replay} for durable programs: witnesses found by crash exploration
-    replay against {!start_durable} with the same (schedule, plan) pair. *)
+(** [replay ~setup] is [replay_target (Program setup)], kept only because
+    the repository benchmark ([perfbench/bench.ml]) calls it. *)
 
 val pp_decision : Format.formatter -> decision -> unit
 

@@ -7,12 +7,12 @@
     so a sampled run is exactly as reproducible as an exhaustive one — and
     because every run starts from a {!Runner.target} (plain or durable)
     through the {!Runner} exec API, its outcome carries the
-    (schedule, plan) pair that {!Runner.replay} (or
-    {!Runner.replay_durable}) reproduces byte-for-byte. The same {!run}
+    (schedule, plan) pair that {!Runner.replay_target} reproduces
+    byte-for-byte. The same {!run}
     with [~kind:Random_walk] is the repo's one uniform random run.
     Sampling never proves absence of bugs; it is the
     detection mode for spaces too big to exhaust, with
-    {!Verify.Obligations.check_sampled} as the checking front and
+    {!Verify.Obligations.check}'s [Sampled] search as the checking front and
     {!Shrink} as the witness minimizer.
 
     Three sampler kinds:
@@ -64,9 +64,9 @@ val run :
 (** One sampled execution of [target]: run to completion or until [fuel]
     decisions, scheduling per [kind]. Crashed/stalled threads are never
     picked; if no decision is enabled the run stops early. The outcome's
-    (schedule, plan) pair replays byte-for-byte via {!Runner.replay} (or
-    {!Runner.replay_durable} for a [Durable] target, whose plans may
-    contain {!Fault.Crash_system}). [~kind:Random_walk] is the plain
+    (schedule, plan) pair replays byte-for-byte via {!Runner.replay_target}
+    (a [Durable] target's plans may contain {!Fault.Crash_system}).
+    [~kind:Random_walk] is the plain
     uniform random run: one {!Rng.pick} over the frontier per decision. *)
 
 (** {1 Joint plan sampling}

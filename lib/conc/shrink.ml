@@ -12,11 +12,6 @@ type minimized = {
   m_stats : stats;
 }
 
-let replay target ~plan sched =
-  let e = Runner.start_target ~plan target in
-  List.iter (fun d -> ignore (Runner.step e d)) sched;
-  Runner.outcome e
-
 let tolerant_replay target ~plan sched =
   let e = Runner.start_target ~plan target in
   List.iter
@@ -132,7 +127,7 @@ let minimize ~target ~fails ~schedule ?(plan = []) () =
     (* The loop left a witness on which ddmin rejected every single-element
        removal on both axes: 1-minimal. Re-derive the outcome by strict
        replay (the applied decisions replay strictly by construction). *)
-    let final = replay target ~plan:!plan !sched in
+    let final = fst (Runner.replay_target ~plan:!plan target !sched) in
     if not (fails final) then
       Error
         "Shrink.minimize: strict replay of the minimized witness does not \

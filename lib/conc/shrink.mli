@@ -16,8 +16,8 @@
     and the witness is re-normalized to the decisions actually applied.
     Tolerant replay is still a deterministic function of
     (schedule, plan), so revalidation is sound; the final witness replays
-    {e strictly} — byte-for-byte via {!Runner.replay} /
-    {!Runner.replay_durable}. Every function here replays against a
+    {e strictly} — byte-for-byte via {!Runner.replay_target}. Every
+    function here replays against a
     {!Runner.target}: the same [setup], plain or durable, that the
     failing run used.
 
@@ -39,12 +39,6 @@ type minimized = {
   m_outcome : Runner.outcome;    (** the outcome of replaying the witness *)
   m_stats : stats;
 }
-
-val replay :
-  Runner.target -> plan:Fault.plan -> Runner.schedule -> Runner.outcome
-(** Strict replay against the target ({!Runner.replay} or
-    {!Runner.replay_durable}); raises [Invalid_argument] on a decision
-    that is not enabled. *)
 
 val tolerant_replay :
   Runner.target -> plan:Fault.plan -> Runner.schedule -> Runner.outcome

@@ -11,8 +11,9 @@
       pending in the history; its effect survives iff a peer's flush
       persisted the cell first. Both outcomes are admissible for
       crash-pending operations under the durable checkers ("persisted or
-      lost"), which is exactly why {!Verify.Obligations.check_durable}
-      accepts this structure at every crash point.
+      lost"), which is exactly why the durable crash sweep of
+      {!Verify.Obligations.check} accepts this structure at every crash
+      point.
 
     Operations make a single CAS attempt and report contention failure,
     like {!Treiber_stack} ([push ⇒ true/false], [pop ⇒ (true,v)/(false,0)]

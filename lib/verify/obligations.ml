@@ -14,53 +14,48 @@ type sampling = {
   s_budget : int;
 }
 
+type obligation =
+  | Trace of { spec : Spec.t; view : View.t }
+  | History of { spec : Spec.t; checker : [ `Cal | `Lin ]; cache : bool option }
+  | Liveness of { window : int }
+
+type strategy =
+  | Default of Conc.Explore.strategy
+  | Explicit of Conc.Explore.strategy
+
+type search =
+  | Exhaustive of { strategy : strategy; domains : int option; max_runs : int option }
+  | Sampled of { sampling : sampling; shrink : bool }
+
+type faults = {
+  fault_bound : int option;
+  delay_factors : int list option;
+  max_plans : int option;
+  max_crash_depth : int option;
+}
+
+type config = {
+  target : Conc.Runner.target;
+  obligation : obligation;
+  search : search;
+  fuel : int;
+  faults : faults;
+}
+
+let exhaustive =
+  Exhaustive { strategy = Default Conc.Explore.Dfs; domains = None; max_runs = None }
+
+let no_faults =
+  { fault_bound = None; delay_factors = None; max_plans = None; max_crash_depth = None }
+
 type report = {
   runs : int;
   complete_runs : int;
   problems : problem list;
   truncated : bool;
   exploration : Conc.Explore.stats option;
-      (* engine cost counters of the underlying exploration, when the
-         check ran on the exhaustive engine *)
-  sampling : sampling option;  (* Some _ exactly for check_sampled* *)
+  config : config;  (* resolved *)
 }
-
-(* ---------------------------------------------------- parallel knobs --- *)
-
-(* The CAL_EXPLORE_DOMAINS and CAL_EXPLORE_STRATEGY defaults (read by
-   Tuning) are applied here — the Obligations layer — and nowhere lower,
-   so library callers of Conc.Explore are never surprised by them.
-
-   Parallel checking is only used on untruncated sweeps: under a shared
-   [max_runs] budget the admitted run subset is scheduling-dependent, and
-   report determinism (runs, problems) is part of this module's contract. *)
-let resolve_domains ~max_runs domains =
-  if max_runs <> None then 1
-  else match domains with Some d -> max 1 d | None -> Tuning.explore_domains ()
-
-(* Default exploration strategy ("dfs", "dpor", "preemption:N", "delay:N"
-   — see {!Conc.Explore.strategy_of_string}); unknown values fall back to
-   the plain DFS. *)
-let resolve_strategy = function
-  | Some s -> s
-  | None ->
-      Option.bind (Tuning.explore_strategy ()) Conc.Explore.strategy_of_string
-      |> Option.value ~default:Conc.Explore.Dfs
-
-let new_cache cache =
-  let on =
-    match cache with Some c -> c | None -> Tuning.verdict_cache_default ()
-  in
-  if on then
-    Some (Verdict_cache.create ?capacity:(Tuning.verdict_cache_capacity ()) ())
-  else None
-
-(* Patch the cache counters into the report's exploration stats. *)
-let patch_cache vc r =
-  match (vc, r.exploration) with
-  | Some c, Some (s : Conc.Explore.stats) ->
-      { r with exploration = Some { s with cache_hits = Verdict_cache.hits c } }
-  | _ -> r
 
 (* ------------------------------------------------- outcome collection -- *)
 
@@ -91,16 +86,17 @@ let cap10 l = List.filteri (fun i _ -> i < 10) l
 
 (* Units are capped at 10 problems each and the concatenation re-capped:
    the first 10 problems in canonical delivery order, i.e. the sequential
-   report's problem list. *)
-let report_of ?exploration ~truncated accs =
+   report's problem list. A verdict cache's hits go into the stats. *)
+let report_of ?vc ~config (stats : Conc.Explore.stats) accs =
+  let cache_hits = Option.fold vc ~none:0 ~some:Verdict_cache.hits in
   {
     runs = Array.fold_left (fun n a -> n + a.a_runs) 0 accs;
     complete_runs = Array.fold_left (fun n a -> n + a.a_complete) 0 accs;
     problems =
       cap10 (List.concat_map (fun a -> List.rev a.a_problems) (Array.to_list accs));
-    truncated;
-    exploration;
-    sampling = None;
+    truncated = stats.truncated;
+    exploration = Some { stats with cache_hits };
+    config;
   }
 
 (* Remove one occurrence of [op] from [ops]; None when absent. *)
@@ -177,104 +173,10 @@ let check_outcome ~spec ~view (outcome : Conc.Runner.outcome) =
           | Error msg -> Error ("agreement obligation: " ^ msg)
           | Ok _ -> Ok ()))
 
-let collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
-    ~check () =
-  let domains = resolve_domains ~max_runs domains in
-  let strategy = resolve_strategy strategy in
-  (* [preemption_bound] is the [Dfs] path's spelling of
-     [Preemption_bounded]; under any other strategy it is ignored rather
-     than composed, so the strategy alone defines the run set *)
-  let preemption_bound =
-    if strategy = Conc.Explore.Dfs then preemption_bound else None
-  in
-  let stats, accs =
-    Conc.Explore.exhaustive_collect ~strategy ~domains ~setup ~fuel ?max_runs
-      ?preemption_bound ~init:new_acc ~f:(record check) ()
-  in
-  report_of ~exploration:stats ~truncated:stats.truncated accs
+(* ------------------------------------------------ history obligations -- *)
 
-let check_object ?domains ?strategy ~setup ~spec ~view ~fuel ?max_runs
-    ?preemption_bound () =
-  collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
-    ~check:(check_outcome ~spec ~view) ()
-
-let check_object_with_faults ?delay_factors ?domains ~setup ~spec ~view ~fuel
-    ?max_runs ?preemption_bound ?max_plans ~fault_bound () =
-  let domains = resolve_domains ~max_runs domains in
-  let _plans, stats, accs =
-    Conc.Explore.exhaustive_with_faults_collect ?delay_factors ~domains ~setup
-      ~fuel ?max_runs ?preemption_bound ?max_plans ~fault_bound ~init:new_acc
-      ~f:(record (check_outcome ~spec ~view))
-      ()
-  in
-  report_of ~exploration:stats ~truncated:stats.truncated accs
-
-(* The liveness obligation (watchdog): on every fair schedule the object
-   either finishes or genuinely blocks. A livelocked run — incomplete at
-   fuel, decisions still enabled, no thread starved — is a problem; starved
-   runs are excused (the schedule was unfair) and deadlocks are the
-   blocking structures' legitimate behaviour. *)
-let liveness_report ~fuel ~window (stats : Conc.Explore.liveness_stats) =
-  let problems =
-    List.map
-      (fun (schedule, plan) ->
-        {
-          schedule;
-          plan;
-          message =
-            Fmt.str
-              "liveness obligation: livelock — incomplete at fuel %d with \
-               enabled decisions and no thread starved (window %d)"
-              fuel window;
-        })
-      stats.Conc.Explore.livelocks
-  in
-  {
-    runs = stats.Conc.Explore.live_runs;
-    complete_runs = stats.Conc.Explore.live_completed;
-    problems;
-    truncated = stats.Conc.Explore.live_truncated;
-    exploration = None;
-    sampling = None;
-  }
-
-let check_liveness ?delay_factors ~setup ~fuel ~window ?max_runs
-    ?preemption_bound ?max_plans ?(fault_bound = 0) () =
-  let _plans, stats =
-    Conc.Explore.liveness_with_faults ?delay_factors ~setup ~fuel ~window
-      ?max_runs ?preemption_bound ?max_plans ~fault_bound ()
-  in
-  liveness_report ~fuel ~window stats
-
-(* Black-box checks decide the verdict on the history alone, so the verdict
-   is a function of the canonical history ({!Cal.History.canonicalize}) —
-   schedules that interleave the same operations with the same concurrency
-   structure share one checker run through the verdict cache. Trace-based
-   checks ({!check_object}) are never cached: their verdict also depends on
-   the auxiliary trace, which the canonical key does not cover. *)
-let check_black_box ?domains ?strategy ?cache ~setup ~spec ~fuel ?max_runs
-    ?preemption_bound () =
-  let vc = new_cache cache in
-  let base (outcome : Conc.Runner.outcome) () =
-    match Cal_checker.check ~spec outcome.history with
-    | Cal_checker.Accepted _ -> Ok ()
-    | Cal_checker.Rejected { reason; _ } -> Error reason
-  in
-  let check outcome =
-    match vc with
-    | None -> base outcome ()
-    | Some c ->
-        Verdict_cache.find_or_compute c
-          ~key:(History.canonical_key outcome.Conc.Runner.history)
-          (base outcome)
-  in
-  patch_cache vc
-    (collect ?domains ?strategy ~setup ~fuel ?max_runs ?preemption_bound
-       ~check ())
-
-(* ------------------------------------------------ durable obligations -- *)
-
-(* Durable checking is black-box on the history: the structures' explicit
+(* History checks decide the verdict on the history alone. Durable
+   programs are checked this way deliberately: the structures' explicit
    flush discipline means a {e peer's} flush can decide whether a pending
    write persisted, so reconciling a self-reported trace against the
    history would mis-attribute persistence (see DESIGN §2.10). The checker
@@ -288,7 +190,7 @@ let crashed_tids (outcome : Conc.Runner.outcome) =
     outcome.injected
   |> List.sort_uniq Int.compare
 
-let durable_check ~checker ~spec (outcome : Conc.Runner.outcome) =
+let history_check ~checker ~spec (outcome : Conc.Runner.outcome) =
   let crashed =
     match crashed_tids outcome with
     | [] -> None
@@ -304,34 +206,41 @@ let durable_check ~checker ~spec (outcome : Conc.Runner.outcome) =
       | Lin_checker.Linearizable _ -> Ok ()
       | Lin_checker.Not_linearizable { reason; _ } -> Error reason)
 
-(* Durable verdicts additionally depend on which threads the plan crashed
-   (the checker's crash-tolerant mode) and on which checker runs, so both
-   go into the cache key next to the canonical history. *)
-let durable_key ~checker (outcome : Conc.Runner.outcome) =
+(* The verdict is a function of the canonical history
+   ({!Cal.History.canonicalize}), of which threads the plan crashed (the
+   checker's crash-tolerant mode) and of which checker runs, so all three
+   go into the cache key: schedules that interleave the same operations
+   with the same concurrency structure share one checker run. *)
+let history_key ~checker (outcome : Conc.Runner.outcome) =
   String.concat "|"
     ((match checker with `Cal -> "cal" | `Lin -> "lin")
     :: List.map string_of_int (crashed_tids outcome))
   ^ "\n"
   ^ History.canonical_key outcome.history
 
-let check_durable ?(checker = `Cal) ?cache ?delay_factors ~setup ~spec ~fuel
-    ?max_runs ?preemption_bound ?max_plans ?max_crash_depth ?fault_bound () =
-  let vc = new_cache cache in
-  let check outcome =
-    match vc with
-    | None -> durable_check ~checker ~spec outcome
-    | Some c ->
-        Verdict_cache.find_or_compute c ~key:(durable_key ~checker outcome)
-          (fun () -> durable_check ~checker ~spec outcome)
+(* ------------------------------------------------ liveness obligation -- *)
+
+(* On every fair schedule the object either finishes or genuinely blocks.
+   A livelocked run — incomplete at fuel, decisions still enabled, no
+   thread starved — is a problem; starved runs are excused (the schedule
+   was unfair) and deadlocks are the blocking structures' legitimate
+   behaviour. *)
+let liveness_report ~config ~window (stats : Conc.Explore.liveness_stats) =
+  let message =
+    Fmt.str
+      "liveness obligation: livelock — incomplete at fuel %d with enabled \
+       decisions and no thread starved (window %d)"
+      config.fuel window
   in
-  let acc = new_acc () in
-  let _plans, stats =
-    Conc.Explore.exhaustive_with_crashes ?delay_factors ~setup ~fuel ?max_runs
-      ?preemption_bound ?max_plans ?max_crash_depth ?fault_bound
-      ~f:(record check acc) ()
-  in
-  patch_cache vc
-    (report_of ~exploration:stats ~truncated:stats.truncated [| acc |])
+  {
+    runs = stats.live_runs;
+    complete_runs = stats.live_completed;
+    problems =
+      List.map (fun (schedule, plan) -> { schedule; plan; message }) stats.livelocks;
+    truncated = stats.live_truncated;
+    exploration = None;
+    config;
+  }
 
 (* ------------------------------------------------- sampled obligations -- *)
 
@@ -343,24 +252,11 @@ let check_durable ?(checker = `Cal) ?cache ?delay_factors ~setup ~spec ~fuel
    sampler kind + seed + budget replay the run sequence, and the printed
    minimal schedule/plan replay the violation directly. *)
 
-let default_kind = Conc.Sampler.Pct { d = 3 }
+let witness_race_cap = 8
 
-let sampled_stats ~runs ~max_steps ~violations ~shrink_candidates
-    ~shrink_steps_removed =
-  Conc.Explore.
-    {
-      Conc.Explore.empty_stats with
-      runs;
-      max_steps;
-      sampled_runs = runs;
-      violations_found = violations;
-      shrink_candidates;
-      shrink_steps_removed;
-    }
-
-let render_sampled_problem ~kind ~seed ~budget ~fuel ~run_index ~target ~plan
-    ~schedule ~(outcome : Conc.Runner.outcome) ~message
-    ~(shrink : Conc.Shrink.stats option) =
+let render_sampled_problem ~config ~sampling ~run_index ~plan ~schedule
+    ~(outcome : Conc.Runner.outcome) ~message ~(shrink : Conc.Shrink.stats option) =
+  let { target; fuel; _ } = config in
   let segs =
     Conc.Shrink.segments target ~plan schedule
     |> List.map (fun (thread, preemptive, steps) ->
@@ -377,18 +273,14 @@ let render_sampled_problem ~kind ~seed ~budget ~fuel ~run_index ~target ~plan
   in
   (* The racing step pairs of the (minimized) witness: one replay through
      the vector-clock analysis, capped so a pathological schedule cannot
-     flood the report. *)
+     flood the report (a long witness can race at every other step; the
+     first few pairs carry the explanation). *)
   let races = Conc.Explore.races_of ~plan ~target schedule in
-  let cap = Tuning.witness_race_cap () in
-  let shown = List.filteri (fun i _ -> i < cap) races in
+  let shown = List.filteri (fun i _ -> i < witness_race_cap) races in
   let hidden = List.length races - List.length shown in
   let races_line =
-    if races <> [] && shown = [] then
-      Fmt.str "races: %d pairs (raise CAL_WITNESS_RACE_CAP to list them)"
-        (List.length races)
-    else
-      Fmt.str "%a%s" Cal.Witness.pp_races shown
-        (if hidden > 0 then Fmt.str " (+%d more)" hidden else "")
+    Fmt.str "%a%s" Cal.Witness.pp_races shown
+      (if hidden > 0 then Fmt.str " (+%d more)" hidden else "")
   in
   Fmt.str
     "@[<v>sampled violation at run %d/%d (sampler %s, seed %Ld, fuel %d)@,\
@@ -399,130 +291,313 @@ let render_sampled_problem ~kind ~seed ~budget ~fuel ~run_index ~target ~plan
      history:@,  @[<v>%a@]@,\
      reproduce: rerun the sampled check with this sampler/seed/budget, or \
      replay the schedule/fault lines below@]"
-    run_index budget
-    (Conc.Sampler.kind_to_string kind)
-    seed fuel message
+    run_index sampling.s_budget
+    (Conc.Sampler.kind_to_string sampling.s_kind)
+    sampling.s_seed fuel message
     (Cal.Witness.schedule_string segs)
     (List.length schedule) races_line shrink_line Cal.Witness.pp_era_history
     outcome.history
 
-(* [plans rng] draws the fault plan of each run from the check's one RNG
-   stream; a fault-free check draws nothing, so its stream is the
-   sampler's alone. *)
-let sampled_report ~kind ~seed ~budget ~fuel ~shrink ~target ~check ~plans
-    () =
-  let rng = Conc.Rng.create ~seed in
-  let next_plan = plans rng in
-  let sample_one () =
-    let plan = next_plan () in
-    Conc.Sampler.run ~plan ~kind ~target ~fuel ~rng ()
+(* The fault plan of each run is drawn from the check's one RNG stream, out
+   of a space learned by four probe walks; a fault-free check draws
+   nothing, so its stream is the sampler's alone. *)
+let sampled_report ~config ~sampling ~shrink check =
+  let { target; fuel; faults = f; _ } = config in
+  let rng = Conc.Rng.create ~seed:sampling.s_seed in
+  let next_plan =
+    match f.fault_bound with
+    | None -> fun () -> []
+    | Some fault_bound ->
+        let space = Conc.Sampler.probe ~target ~fuel ~runs:4 ~rng () in
+        let crash_depth = Option.value f.max_crash_depth ~default:0 in
+        fun () ->
+          Conc.Sampler.sample_plan ~fault_bound ?delay_factors:f.delay_factors
+            ~crash_depth space ~rng
   in
-  let acc = new_acc () in
-  let violations = ref 0 in
-  let sh_cand = ref 0 and sh_removed = ref 0 in
-  let max_steps = ref 0 in
-  let stop = ref false in
-  let run_index = ref 0 in
-  while (not !stop) && !run_index < budget do
-    incr run_index;
-    let outcome = sample_one () in
+  let acc = new_acc () and max_steps = ref 0 and shrunk = ref None in
+  (* early exit at the first violation: sampling is a detection mode, one
+     (minimized) counterexample is the deliverable *)
+  while acc.a_problems = [] && acc.a_runs < sampling.s_budget do
+    let plan = next_plan () in
+    let outcome =
+      Conc.Sampler.run ~plan ~kind:sampling.s_kind ~target ~fuel ~rng ()
+    in
     acc.a_runs <- acc.a_runs + 1;
-    if outcome.Conc.Runner.complete then acc.a_complete <- acc.a_complete + 1;
-    max_steps := max !max_steps outcome.Conc.Runner.steps;
+    if outcome.complete then acc.a_complete <- acc.a_complete + 1;
+    max_steps := max !max_steps outcome.steps;
     match check outcome with
     | Ok () -> ()
     | Error message ->
-        (* early exit: sampling is a detection mode, one (minimized)
-           counterexample is the deliverable *)
-        incr violations;
-        stop := true;
         let fails o = Result.is_error (check o) in
-        let schedule, plan, final, sstats =
-          if shrink then
-            match
-              Conc.Shrink.minimize ~target ~fails
-                ~schedule:outcome.Conc.Runner.schedule
-                ~plan:outcome.Conc.Runner.faults ()
-            with
-            | Ok m ->
-                sh_cand := m.Conc.Shrink.m_stats.candidates;
-                sh_removed := m.Conc.Shrink.m_stats.steps_removed;
-                (m.m_schedule, m.m_plan, m.m_outcome, Some m.m_stats)
-            | Error _ ->
-                (outcome.Conc.Runner.schedule, outcome.Conc.Runner.faults,
-                 outcome, None)
+        let m =
+          if not shrink then None
           else
-            (outcome.Conc.Runner.schedule, outcome.Conc.Runner.faults,
-             outcome, None)
+            Result.to_option
+              (Conc.Shrink.minimize ~target ~fails ~schedule:outcome.schedule
+                 ~plan:outcome.faults ())
+        in
+        shrunk := Option.map (fun (m : Conc.Shrink.minimized) -> m.m_stats) m;
+        let schedule, plan, final =
+          match m with
+          | Some m -> (m.m_schedule, m.m_plan, m.m_outcome)
+          | None -> (outcome.schedule, outcome.faults, outcome)
         in
         (* the verdict of the minimal witness, not the original run's *)
+        let message = match check final with Error m -> m | Ok () -> message in
         let message =
-          match check final with Error m -> m | Ok () -> message
+          render_sampled_problem ~config ~sampling ~run_index:acc.a_runs ~plan
+            ~schedule ~outcome:final ~message ~shrink:!shrunk
         in
-        acc.a_problems <-
-          {
-            schedule;
-            plan;
-            message =
-              render_sampled_problem ~kind ~seed ~budget ~fuel
-                ~run_index:!run_index ~target ~plan ~schedule ~outcome:final
-                ~message ~shrink:sstats;
-          }
-          :: acc.a_problems
+        acc.a_problems <- [ { schedule; plan; message } ]
   done;
+  let shrink_candidates, shrink_steps_removed =
+    Option.fold !shrunk ~none:(0, 0) ~some:(fun (s : Conc.Shrink.stats) ->
+        (s.candidates, s.steps_removed))
+  in
   {
     runs = acc.a_runs;
     complete_runs = acc.a_complete;
-    problems = List.rev acc.a_problems;
+    problems = acc.a_problems;
     truncated = false;
     exploration =
       Some
-        (sampled_stats ~runs:acc.a_runs ~max_steps:!max_steps
-           ~violations:!violations ~shrink_candidates:!sh_cand
-           ~shrink_steps_removed:!sh_removed);
-    sampling = Some { s_kind = kind; s_seed = seed; s_budget = budget };
+        {
+          Conc.Explore.empty_stats with
+          runs = acc.a_runs;
+          max_steps = !max_steps;
+          sampled_runs = acc.a_runs;
+          violations_found = List.length acc.a_problems;
+          shrink_candidates;
+          shrink_steps_removed;
+        };
+    config;
   }
 
-(* Fault plans drawn per run from a space learned by four probe walks on
-   the same RNG stream. *)
-let probed_plans ~target ~fuel ?delay_factors ~crash_depth ~fault_bound rng =
-  let space = Conc.Sampler.probe ~target ~fuel ~runs:4 ~rng () in
-  fun () ->
-    Conc.Sampler.sample_plan ~fault_bound ?delay_factors ~crash_depth space
-      ~rng
+(* --------------------------------------------------------- the check --- *)
 
-let check_sampled ?(kind = default_kind) ?(seed = 1L) ?(shrink = true)
-    ?delay_factors ?fault_bound ~setup ~spec ~view ~fuel ~budget () =
-  let target = Conc.Runner.Program setup in
-  let plans =
-    match (fault_bound, delay_factors) with
-    | None, None -> fun _ () -> []
-    | None, Some _ ->
-        invalid_arg "Obligations.check_sampled: delay_factors needs fault_bound"
-    | Some fault_bound, _ ->
-        probed_plans ~target ~fuel ?delay_factors ~crash_depth:0 ~fault_bound
+let pp_config ppf c =
+  let opt name = Option.fold ~none:"" ~some:(Fmt.str ", %s %d" name) in
+  let strategy = function
+    | Explicit s -> Conc.Explore.strategy_to_string s
+    | Default s -> Conc.Explore.strategy_to_string s ^ " (default)"
   in
-  sampled_report ~kind ~seed ~budget ~fuel ~shrink ~target
-    ~check:(check_outcome ~spec ~view) ~plans ()
+  Fmt.pf ppf "%s %s, %s, fuel %d%s%s%s%s"
+    (match c.target with Program _ -> "program" | Durable _ -> "durable")
+    (match c.obligation with
+    | Trace _ -> "trace"
+    | History { checker; cache; _ } ->
+        (match checker with `Cal -> "history cal" | `Lin -> "history lin")
+        ^ Option.fold cache ~none:"" ~some:(fun on ->
+              if on then ", cache on" else ", cache off")
+    | Liveness { window } -> Fmt.str "liveness window %d" window)
+    (match c.search with
+    | Exhaustive { strategy = s; domains; max_runs } ->
+        Fmt.str "exhaustive %s%s%s" (strategy s)
+          (Option.fold domains ~none:"" ~some:(fun d ->
+               Fmt.str ", %d domain%s" d (if d = 1 then "" else "s")))
+          (opt "max-runs" max_runs)
+    | Sampled { sampling = s; shrink } ->
+        Fmt.str "sampled %s, seed %Ld, budget %d%s"
+          (Conc.Sampler.kind_to_string s.s_kind)
+          s.s_seed s.s_budget
+          (if shrink then "" else ", no shrink"))
+    c.fuel
+    (opt "faults <=" c.faults.fault_bound)
+    (Option.fold c.faults.delay_factors ~none:"" ~some:(fun l ->
+         ", delays x" ^ String.concat ",x" (List.map string_of_int l)))
+    (opt "max-plans" c.faults.max_plans)
+    (opt "crash depth" c.faults.max_crash_depth)
 
-let check_sampled_durable ?(checker = `Cal) ?(kind = default_kind)
-    ?(seed = 1L) ?(shrink = true) ?delay_factors ?(fault_bound = 0)
-    ?(max_crash_depth = 1) ~setup ~spec ~fuel ~budget () =
-  let target = Conc.Runner.Durable setup in
+let invalid fmt = Fmt.kstr (fun m -> invalid_arg ("Obligations.check: " ^ m)) fmt
+
+(* The resolve_* helpers are the only readers of Tuning in this module,
+   and the CAL_EXPLORE_DOMAINS / CAL_EXPLORE_STRATEGY / CAL_VERDICT_CACHE
+   defaults are applied nowhere lower, so library callers of Conc.Explore
+   are never surprised by them.
+
+   An explicit strategy is used as given; a default one is replaced by
+   CAL_EXPLORE_STRATEGY when that parses to anything but the plain DFS (on
+   which a default preemption bound stays); unknown values keep the
+   default. *)
+let resolve_strategy = function
+  | Explicit s -> s
+  | Default d -> (
+      match
+        Option.bind (Tuning.explore_strategy ()) Conc.Explore.strategy_of_string
+      with
+      | Some s when s <> Conc.Explore.Dfs -> s
+      | _ -> d)
+
+(* Parallel checking is only used on untruncated sweeps: under a shared
+   [max_runs] budget the admitted run subset is scheduling-dependent, and
+   report determinism (runs, problems) is part of this module's contract. *)
+let resolve_domains ~domains ~max_runs =
+  if max_runs <> None then 1
+  else match domains with Some d -> max 1 d | None -> Tuning.explore_domains ()
+
+(* The verdict cache of a history check (absent: CAL_VERDICT_CACHE), with
+   CAL_VERDICT_CACHE_CAP's capacity. *)
+let resolve_cache cache =
+  if Option.value cache ~default:(Tuning.verdict_cache_default ()) then
+    Some (Verdict_cache.create ?capacity:(Tuning.verdict_cache_capacity ()) ())
+  else None
+
+(* The history check behind the verdict cache [vc] (its hits go into the
+   report), and the obligation with its cache setting resolved. *)
+let cached_history ~spec ~checker vc =
   let check o =
-    Result.map_error
-      (fun m ->
-        (match checker with
-        | `Cal -> "durable CAL obligation: "
-        | `Lin -> "durable linearizability obligation: ")
-        ^ m)
-      (durable_check ~checker ~spec o)
+    match vc with
+    | None -> history_check ~checker ~spec o
+    | Some vc ->
+        Verdict_cache.find_or_compute vc ~key:(history_key ~checker o) (fun () ->
+            history_check ~checker ~spec o)
   in
-  sampled_report ~kind ~seed ~budget ~fuel ~shrink ~target ~check
-    ~plans:
-      (probed_plans ~target ~fuel ?delay_factors ~crash_depth:max_crash_depth
-         ~fault_bound)
-    ()
+  (check, History { spec; checker; cache = Some (vc <> None) })
+
+(* The fault, crash and liveness sweeps run the DFS, optionally
+   preemption-bounded, whatever the environment says. *)
+let dfs_only (Explicit s | Default s) =
+  match s with
+  | Conc.Explore.Dfs | Preemption_bounded _ -> s
+  | s ->
+      invalid "fault, crash and liveness sweeps run on the DFS, not %s"
+        (Conc.Explore.strategy_to_string s)
+
+let preemption_bound = function
+  | Conc.Explore.Preemption_bounded { bound } -> Some bound
+  | _ -> None
+
+let check c =
+  let f = c.faults and fuel = c.fuel in
+  let durable = match c.target with Durable _ -> true | Program _ -> false in
+  let liveness = match c.obligation with Liveness _ -> true | _ -> false in
+  let sampled = match c.search with Sampled _ -> true | Exhaustive _ -> false in
+  if f.delay_factors <> None && f.fault_bound = None then
+    invalid "delay_factors needs fault_bound";
+  if f.max_crash_depth <> None && not durable then
+    invalid "max_crash_depth needs a durable program";
+  if f.max_plans <> None && (sampled || not (durable || liveness || f.fault_bound <> None))
+  then invalid "max_plans needs an exhaustive fault, crash or liveness sweep";
+  (* the durable and liveness sweeps always sweep (at least) the empty
+     plan, and durable programs crash *)
+  let faults =
+    if not (durable || liveness) then f
+    else
+      {
+        f with
+        fault_bound = Some (Option.value f.fault_bound ~default:0);
+        max_crash_depth =
+          (if durable then Some (Option.value f.max_crash_depth ~default:1)
+           else None);
+      }
+  in
+  let resolved ?(obligation = c.obligation) strategy ~domains ~max_runs =
+    let search =
+      Exhaustive { strategy = Explicit strategy; domains = Some domains; max_runs }
+    in
+    { c with obligation; search; faults }
+  in
+  (* fault-free, on any strategy *)
+  let fault_free ~setup strategy ~domains ~max_runs ?obligation ?vc check =
+    let strategy = resolve_strategy strategy
+    and domains = resolve_domains ~domains ~max_runs in
+    let stats, accs =
+      Conc.Explore.exhaustive_collect ~strategy ~domains ~setup ~fuel ?max_runs
+        ~init:new_acc ~f:(record check) ()
+    in
+    report_of ?vc ~config:(resolved ?obligation strategy ~domains ~max_runs)
+      stats accs
+  in
+  match (c.search, c.target, c.obligation) with
+  | Exhaustive e, Program setup, Trace { spec; view } when f.fault_bound = None ->
+      fault_free ~setup e.strategy ~domains:e.domains ~max_runs:e.max_runs
+        (check_outcome ~spec ~view)
+  | Exhaustive e, Program setup, History { spec; checker = `Cal; cache }
+    when f.fault_bound = None ->
+      let vc = resolve_cache cache in
+      let check, obligation = cached_history ~spec ~checker:`Cal vc in
+      fault_free ~setup e.strategy ~domains:e.domains ~max_runs:e.max_runs
+        ~obligation ?vc check
+  | Exhaustive { strategy; domains; max_runs }, Program setup, Trace { spec; view }
+    ->
+      let strategy = dfs_only strategy
+      and domains = resolve_domains ~domains ~max_runs in
+      let _plans, stats, accs =
+        Conc.Explore.exhaustive_with_faults_collect
+          ?delay_factors:f.delay_factors ~domains ~setup ~fuel ?max_runs
+          ?preemption_bound:(preemption_bound strategy) ?max_plans:f.max_plans
+          ~fault_bound:(Option.get f.fault_bound) ~init:new_acc
+          ~f:(record (check_outcome ~spec ~view))
+          ()
+      in
+      report_of ~config:(resolved strategy ~domains ~max_runs) stats accs
+  | ( Exhaustive { strategy; domains = None; max_runs },
+      Program setup,
+      Liveness { window } ) ->
+      let strategy = dfs_only strategy in
+      let _plans, stats =
+        Conc.Explore.liveness ?delay_factors:f.delay_factors
+          ?max_plans:f.max_plans ?fault_bound:faults.fault_bound ~setup ~fuel
+          ~window ?max_runs ?preemption_bound:(preemption_bound strategy) ()
+      in
+      liveness_report ~config:(resolved strategy ~domains:1 ~max_runs) ~window
+        stats
+  | ( Exhaustive { strategy; domains = None; max_runs },
+      Durable setup,
+      History { spec; checker; cache } ) ->
+      let strategy = dfs_only strategy in
+      let vc = resolve_cache cache in
+      let check, obligation = cached_history ~spec ~checker vc in
+      let acc = new_acc () in
+      let _plans, stats =
+        Conc.Explore.exhaustive_with_crashes ?delay_factors:f.delay_factors
+          ~setup ~fuel ?max_runs ?preemption_bound:(preemption_bound strategy)
+          ?max_plans:f.max_plans ?max_crash_depth:faults.max_crash_depth
+          ?fault_bound:faults.fault_bound ~f:(record check acc) ()
+      in
+      report_of ?vc
+        ~config:(resolved ~obligation strategy ~domains:1 ~max_runs)
+        stats [| acc |]
+  | Sampled { sampling; shrink }, Program _, Trace { spec; view } ->
+      sampled_report ~config:c ~sampling ~shrink (check_outcome ~spec ~view)
+  | ( Sampled { sampling; shrink },
+      Durable _,
+      History { spec; checker; cache = None } ) ->
+      sampled_report ~config:{ c with faults } ~sampling ~shrink (fun o ->
+          Result.map_error
+            (fun m ->
+              (match checker with
+              | `Cal -> "durable CAL obligation: "
+              | `Lin -> "durable linearizability obligation: ")
+              ^ m)
+            (history_check ~checker ~spec o))
+  | _ -> invalid "no check serves [%a]" pp_config c
+
+(* The exhaustive trace and black-box checks as functions of their old
+   arguments, kept only because the repository benchmark
+   (perfbench/bench.ml) calls them. *)
+let legacy ?domains ?strategy ?max_runs ?preemption_bound ~setup ~fuel
+    obligation =
+  let strategy =
+    match (strategy, preemption_bound) with
+    | (None | Some Conc.Explore.Dfs), Some bound ->
+        let s = Conc.Explore.Preemption_bounded { bound } in
+        if strategy = None then Default s else Explicit s
+    | None, None -> Default Dfs
+    | Some s, _ -> Explicit s
+  in
+  let search = Exhaustive { strategy; domains; max_runs } in
+  check { target = Program setup; obligation; search; fuel; faults = no_faults }
+
+let check_object ?domains ?strategy ~setup ~spec ~view ~fuel ?max_runs
+    ?preemption_bound () =
+  legacy ?domains ?strategy ?max_runs ?preemption_bound ~setup ~fuel
+    (Trace { spec; view })
+
+let check_black_box ?domains ?strategy ?cache ~setup ~spec ~fuel ?max_runs
+    ?preemption_bound () =
+  legacy ?domains ?strategy ?max_runs ?preemption_bound ~setup ~fuel
+    (History { spec; checker = `Cal; cache })
 
 let ok r = r.problems = []
 
@@ -551,20 +626,16 @@ let pp_exploration ppf (s : Conc.Explore.stats) =
          s.shrink_steps_removed
      else "")
 
-let pp_sampling ppf s =
-  Fmt.pf ppf " [sampler %s, seed %Ld, budget %d]"
-    (Conc.Sampler.kind_to_string s.s_kind)
-    s.s_seed s.s_budget
-
 let pp_report ppf r =
   if ok r then begin
-    Fmt.pf ppf "OK: %d runs (%d complete)%s" r.runs r.complete_runs
-      (if r.truncated then " [truncated]" else "");
-    Option.iter (pp_sampling ppf) r.sampling;
+    Fmt.pf ppf "OK: %d runs (%d complete)%s [%a]" r.runs r.complete_runs
+      (if r.truncated then " [truncated]" else "")
+      pp_config r.config;
     Option.iter (pp_exploration ppf) r.exploration
   end
   else
-    Fmt.pf ppf "@[<v>%d PROBLEMS over %d runs:@,%a@]" (List.length r.problems) r.runs
+    Fmt.pf ppf "@[<v>%d PROBLEMS over %d runs [%a]:@,%a@]"
+      (List.length r.problems) r.runs pp_config r.config
       (Fmt.list ~sep:Fmt.cut (fun ppf (p : problem) ->
            Fmt.pf ppf "- %s@,  schedule: %a" p.message
              (Fmt.list ~sep:(Fmt.any " ") Conc.Runner.pp_decision)

@@ -472,8 +472,13 @@ type sampling_cost = {
   sc_shrink_steps_removed : int;
 }
 
-let sampling_cost_of_report ~scenario ~kind ~seed ~budget
-    (r : Verify.Obligations.report) =
+let sampling_cost ~scenario config =
+  let r = Verify.Obligations.check config in
+  let s =
+    match r.config.search with
+    | Sampled { sampling; _ } -> sampling
+    | Exhaustive _ -> invalid_arg "Metrics.sampling_cost: needs a sampled search"
+  in
   let witness_len =
     match r.Verify.Obligations.problems with
     | p :: _ -> List.length p.Verify.Obligations.schedule
@@ -487,33 +492,15 @@ let sampling_cost_of_report ~scenario ~kind ~seed ~budget
   in
   {
     sc_scenario = scenario;
-    sc_sampler = Conc.Sampler.kind_to_string kind;
-    sc_seed = seed;
-    sc_budget = budget;
+    sc_sampler = Conc.Sampler.kind_to_string s.s_kind;
+    sc_seed = s.s_seed;
+    sc_budget = s.s_budget;
     sc_runs = r.Verify.Obligations.runs;
     sc_detected = not (Verify.Obligations.ok r);
     sc_witness_len = witness_len;
     sc_shrink_candidates = candidates;
     sc_shrink_steps_removed = removed;
   }
-
-let sampling_cost ~kind ~seed ~budget ?fault_bound (s : Scenarios.t) =
-  let report =
-    Verify.Obligations.check_sampled ~kind ~seed ?fault_bound
-      ~setup:s.Scenarios.setup ~spec:s.Scenarios.spec ~view:s.Scenarios.view
-      ~fuel:s.Scenarios.fuel ~budget ()
-  in
-  sampling_cost_of_report ~scenario:s.Scenarios.name ~kind ~seed ~budget report
-
-let sampling_cost_durable ~kind ~seed ~budget (d : Scenarios.durable) =
-  let report =
-    Verify.Obligations.check_sampled_durable ~kind ~seed
-      ~max_crash_depth:d.Scenarios.d_max_crash_depth
-      ~setup:d.Scenarios.d_setup ~spec:d.Scenarios.d_spec
-      ~fuel:d.Scenarios.d_fuel ~budget ()
-  in
-  sampling_cost_of_report ~scenario:d.Scenarios.d_name ~kind ~seed ~budget
-    report
 
 let pp_sampling_cost ppf c =
   Fmt.pf ppf

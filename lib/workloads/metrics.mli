@@ -150,7 +150,7 @@ val pp_explore_cost : Format.formatter -> explore_cost -> unit
 (** {1 Sampled-checking cost}
 
     One data point of the B15 sampling benchmark: run one sampled check
-    ({!Verify.Obligations.check_sampled} / [check_sampled_durable]) on one
+    ({!Verify.Obligations.check} with a [Sampled] search) on one
     scenario with one (sampler kind, seed, budget) triple and report
     whether it detected a violation, how many runs that took, and how
     small the shrunk witness came out. B15 aggregates these points into
@@ -168,23 +168,9 @@ type sampling_cost = {
   sc_shrink_steps_removed : int;
 }
 
-val sampling_cost :
-  kind:Conc.Sampler.kind ->
-  seed:int64 ->
-  budget:int ->
-  ?fault_bound:int ->
-  Scenarios.t ->
-  sampling_cost
-(** Sampled check of one scenario. With [fault_bound] (default absent),
-    the fault-sampling variant is used instead of the schedule-only one. *)
-
-val sampling_cost_durable :
-  kind:Conc.Sampler.kind ->
-  seed:int64 ->
-  budget:int ->
-  Scenarios.durable ->
-  sampling_cost
-(** The durable analogue, sampling system crashes to the scenario's
-    [d_max_crash_depth]. *)
+val sampling_cost : scenario:string -> Verify.Obligations.config -> sampling_cost
+(** Run one sampled check — a config with a [Sampled] search, plain or
+    durable, with or without a fault space — and name it [scenario].
+    Raises [Invalid_argument] on an exhaustive search. *)
 
 val pp_sampling_cost : Format.formatter -> sampling_cost -> unit

@@ -522,7 +522,7 @@ let faulty_exchanger () =
 (* ----------------------------------------------- durable scenarios ---- *)
 
 (* Durable scenarios package a {!Conc.Runner.durable} program instead of a
-   plain one, and are checked black-box ({!Verify.Obligations.check_durable})
+   plain one, and are checked black-box (a [History] obligation)
    — no view. [d_max_crash_depth] bounds crash-during-recovery nesting. *)
 type durable = {
   d_name : string;
@@ -694,3 +694,29 @@ let all () =
 let find name = List.find_opt (fun s -> String.equal s.name name) (all ())
 let faulty () = List.filter (fun s -> not s.expect_ok) (all ())
 let durable_faulty () = List.filter (fun d -> not d.d_expect_ok) (durable_all ())
+
+(* The scenario's bound is a default strategy: CAL_EXPLORE_STRATEGY may
+   replace it, as it may replace the plain DFS. *)
+let config s =
+  let strategy : Verify.Obligations.strategy =
+    Default
+      (Option.fold s.bound ~none:Conc.Explore.Dfs ~some:(fun bound ->
+           Conc.Explore.Preemption_bounded { bound }))
+  in
+  {
+    Verify.Obligations.target = Program s.setup;
+    obligation = Trace { spec = s.spec; view = s.view };
+    search = Exhaustive { strategy; domains = None; max_runs = None };
+    fuel = s.fuel;
+    faults = Verify.Obligations.no_faults;
+  }
+
+let durable_config d =
+  {
+    Verify.Obligations.target = Durable d.d_setup;
+    obligation = History { spec = d.d_spec; checker = `Cal; cache = None };
+    search = Verify.Obligations.exhaustive;
+    fuel = d.d_fuel;
+    faults =
+      { Verify.Obligations.no_faults with max_crash_depth = Some d.d_max_crash_depth };
+  }

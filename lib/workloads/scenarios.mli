@@ -105,7 +105,8 @@ val faulty : unit -> t list
 
     Bounded client programs over the durable structures, packaged as
     {!Conc.Runner.durable} (boot program, persistent domain, recovery
-    program) for the crash sweep of {!Verify.Obligations.check_durable}.
+    program) for the crash sweep of a durable [History] obligation
+    ({!durable_config}).
     Durable checking is black-box, so there is no view field;
     [d_max_crash_depth] bounds crash-during-recovery nesting. *)
 
@@ -139,3 +140,13 @@ val durable_all : unit -> durable list
 
 val durable_faulty : unit -> durable list
 (** The [d_expect_ok = false] subset of {!durable_all}. *)
+
+(** {1 Obligation configs} *)
+
+val config : t -> Verify.Obligations.config
+(** The [Trace] obligation at the scenario's fuel, exhaustive and
+    fault-free, under a [Default] strategy bounded by its [bound]. *)
+
+val durable_config : durable -> Verify.Obligations.config
+(** The [`Cal] [History] obligation at the scenario's fuel, over system
+    crashes nested to [d_max_crash_depth]. *)

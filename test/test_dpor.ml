@@ -193,13 +193,9 @@ let agreement_cases () =
 let test_dpor_agrees_with_dfs () =
   List.iter
     (fun ((s : S.t), fuel) ->
-      let dfs =
-        O.check_object ~strategy:Explore.Dfs ~setup:s.setup ~spec:s.spec
-          ~view:s.view ~fuel ()
-      in
+      let dfs = O.check { (trace_config ~strategy:(Explicit Dfs) s) with fuel } in
       let dpor =
-        O.check_object ~strategy:Explore.Dpor ~setup:s.setup ~spec:s.spec
-          ~view:s.view ~fuel ()
+        O.check { (trace_config ~strategy:(Explicit Dpor) s) with fuel }
       in
       check_bool
         (Fmt.str "%s: dpor verdict = dfs verdict" s.name)
@@ -217,7 +213,7 @@ let test_dpor_agrees_with_dfs () =
       match (O.ok dpor, dpor.O.problems) with
       | false, (p : O.problem) :: _ ->
           (* the witness replays to a genuinely failing outcome *)
-          let o, _ = Runner.replay ~setup:s.setup p.O.schedule in
+          let o, _ = Runner.replay_target (Program s.setup) p.O.schedule in
           check_bool
             (Fmt.str "%s: dpor witness replays to a violation" s.name)
             true
@@ -232,15 +228,12 @@ let test_bounded_strategies_verdicts () =
   List.iter
     (fun ((s : S.t), fuel) ->
       let dfs_ok =
-        O.ok
-          (O.check_object ~strategy:Explore.Dfs ~setup:s.setup ~spec:s.spec
-             ~view:s.view ~fuel ())
+        O.ok (O.check { (trace_config ~strategy:(Explicit Dfs) s) with fuel })
       in
       List.iter
         (fun strategy ->
           let r =
-            O.check_object ~strategy ~setup:s.setup ~spec:s.spec ~view:s.view
-              ~fuel ()
+            O.check { (trace_config ~strategy:(Explicit strategy) s) with fuel }
           in
           if dfs_ok then
             check_bool
@@ -432,14 +425,13 @@ let test_bounded_matches_oracle () =
    (here at a fuel small enough to enumerate) never bites. *)
 let test_preemption_bound_is_honest () =
   let s = S.exchanger_trio () in
-  let via_check_object ?(fuel = s.fuel) preemption_bound =
-    match
-      (O.check_object ~domains:1 ~setup:s.setup ~spec:s.spec ~view:s.view
-         ~fuel ~preemption_bound ())
-        .O.exploration
-    with
+  let via_check ?(fuel = s.fuel) preemption_bound =
+    let config =
+      trace_config ~strategy:(bounded preemption_bound) ~domains:1 s
+    in
+    match (O.check { config with fuel }).O.exploration with
     | Some e -> e
-    | None -> Alcotest.fail "check_object reported no exploration stats"
+    | None -> Alcotest.fail "check reported no exploration stats"
   in
   let via_exhaustive ?(fuel = s.fuel) preemption_bound =
     Explore.exhaustive ~setup:s.setup ~fuel ~preemption_bound ~f:ignore ()
@@ -452,7 +444,7 @@ let test_preemption_bound_is_honest () =
         (entry ^ ": bound 4 hits")
         118_410 e.Explore.bound_hits)
     [
-      ("check_object", via_check_object 4); ("exhaustive", via_exhaustive 4);
+      ("check", via_check 4); ("exhaustive", via_exhaustive 4);
     ];
   List.iter
     (fun (entry, (e : Explore.stats)) ->
@@ -461,7 +453,7 @@ let test_preemption_bound_is_honest () =
       Alcotest.(check int) (entry ^ ": bound = fuel has no hits") 0
         e.Explore.bound_hits)
     [
-      ("check_object", via_check_object ~fuel:small small);
+      ("check", via_check ~fuel:small small);
       ("exhaustive", via_exhaustive ~fuel:small small);
     ]
 
@@ -478,14 +470,14 @@ let test_env_strategy () =
   in
   let dfs_runs =
     with_env "dfs" (fun () ->
-        (O.check_black_box ~setup:s.setup ~spec:s.spec ~fuel:10 ()).O.runs)
+        (O.check { (black_box_config s) with fuel = 10 }).O.runs)
   in
   with_env "dpor" (fun () ->
-      let r = O.check_black_box ~setup:s.setup ~spec:s.spec ~fuel:10 () in
+      let r = O.check { (black_box_config s) with fuel = 10 } in
       check_bool "env dpor accepts" true (O.ok r);
       check_bool "env dpor reduces the run count" true (r.O.runs < dfs_runs));
   with_env "no-such-strategy" (fun () ->
-      let r = O.check_black_box ~setup:s.setup ~spec:s.spec ~fuel:10 () in
+      let r = O.check { (black_box_config s) with fuel = 10 } in
       Alcotest.(check int) "invalid env falls back to dfs" dfs_runs r.O.runs)
 
 let () =

@@ -196,7 +196,9 @@ let test_durable_replay_determinism () =
     (List.exists
        (function Fault.Crash_system _ -> true | _ -> false)
        o1.Runner.injected);
-  let o2, _ = Runner.replay_durable ~plan ~setup:stack_scen.S.d_setup o1.Runner.schedule in
+  let o2, _ =
+    Runner.replay_target ~plan (Durable stack_scen.S.d_setup) o1.Runner.schedule
+  in
   Alcotest.check history "replay reproduces the history" o1.Runner.history
     o2.Runner.history;
   Alcotest.(check int) "replay reproduces steps" o1.Runner.steps o2.Runner.steps;
@@ -237,37 +239,37 @@ let test_exploration_epochs () =
 
 (* --------------------------------------------- durable obligations ---- *)
 
-let durable_scenario_ok ?max_runs ?preemption_bound (s : S.durable) =
-  let r =
-    Verify.Obligations.check_durable ~setup:s.S.d_setup ~spec:s.S.d_spec
-      ~fuel:s.S.d_fuel ?max_runs ?preemption_bound
-      ~max_crash_depth:s.S.d_max_crash_depth ()
-  in
-  Verify.Obligations.ok r = s.S.d_expect_ok
+(* The scenario's durable config, preemption-bounded by 2. *)
+let bounded_durable s =
+  {
+    (S.durable_config s) with
+    search = Exhaustive { strategy = bounded 2; domains = None; max_runs = None };
+  }
 
 let test_durable_stack_accepted () =
   check_bool "durable Treiber stack is durably CA-linearizable" true
-    (durable_scenario_ok ~preemption_bound:2 (S.stack_crash_recovery ()))
+    (Verify.Obligations.ok
+       (Verify.Obligations.check (bounded_durable (S.stack_crash_recovery ()))))
 
 let test_durable_queue_accepted () =
   check_bool "durable MS queue is durably CA-linearizable" true
-    (durable_scenario_ok ~preemption_bound:2 (S.queue_crash_recovery ()))
+    (Verify.Obligations.ok
+       (Verify.Obligations.check (bounded_durable (S.queue_crash_recovery ()))))
 
 let test_durable_lin_mode () =
   let s = S.stack_crash_recovery () in
   let r =
-    Verify.Obligations.check_durable ~checker:`Lin ~setup:s.S.d_setup
-      ~spec:s.S.d_spec ~fuel:s.S.d_fuel ~preemption_bound:2
-      ~max_crash_depth:s.S.d_max_crash_depth ()
+    Verify.Obligations.check
+      {
+        (bounded_durable s) with
+        obligation = History { spec = s.S.d_spec; checker = `Lin; cache = None };
+      }
   in
   check_bool "durable linearizability agrees" true (Verify.Obligations.ok r)
 
 let test_missing_flush_rejected_with_witness () =
   let s = S.faulty_durable_stack () in
-  let r =
-    Verify.Obligations.check_durable ~setup:s.S.d_setup ~spec:s.S.d_spec
-      ~fuel:s.S.d_fuel ~max_crash_depth:s.S.d_max_crash_depth ()
-  in
+  let r = Verify.Obligations.check (S.durable_config s) in
   check_bool "missing flush rejected" false (Verify.Obligations.ok r);
   match r.Verify.Obligations.problems with
   | [] -> Alcotest.fail "rejection without a witness"
@@ -275,8 +277,8 @@ let test_missing_flush_rejected_with_witness () =
       (* the (schedule, plan) pair is a replayable witness: re-running it
          reproduces a history both checkers reject *)
       let o, _ =
-        Runner.replay_durable ~plan:p.Verify.Obligations.plan
-          ~setup:s.S.d_setup p.Verify.Obligations.schedule
+        Runner.replay_target ~plan:p.Verify.Obligations.plan
+          (Durable s.S.d_setup) p.Verify.Obligations.schedule
       in
       check_bool "witness history is rejected" false
         (Cal_checker.is_cal ~spec:s.S.d_spec o.Runner.history);
@@ -309,8 +311,15 @@ let test_exchanger_crash_abort () =
     }
   in
   let r =
-    Verify.Obligations.check_durable ~setup ~spec:(Spec_exchanger.spec ())
-      ~fuel:60 ~max_crash_depth:1 ()
+    Verify.Obligations.check
+      {
+        target = Durable setup;
+        obligation =
+          History { spec = Spec_exchanger.spec (); checker = `Cal; cache = None };
+        search = Verify.Obligations.exhaustive;
+        fuel = 60;
+        faults = { Verify.Obligations.no_faults with max_crash_depth = Some 1 };
+      }
   in
   check_bool "pending exchanges abort cleanly at every crash point" true
     (Verify.Obligations.ok r)

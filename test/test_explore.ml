@@ -268,10 +268,7 @@ let test_watchdog_starvation_sticky () =
 
 let test_obligations_surface_exploration_stats () =
   let s = S.exchanger_pair () in
-  let r =
-    Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view
-      ~fuel:s.fuel ()
-  in
+  let r = Verify.Obligations.check (trace_config s) in
   match r.Verify.Obligations.exploration with
   | Some st ->
       check_bool "nodes counted" true (st.Explore.nodes > 0);

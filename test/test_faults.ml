@@ -340,8 +340,7 @@ let test_exhaustive_with_faults_exchanger () =
 let test_faulty_object_still_caught () =
   let s = Workloads.Scenarios.faulty_exchanger () in
   let report =
-    Verify.Obligations.check_object_with_faults ~setup:s.setup ~spec:s.spec
-      ~view:s.view ~fuel:s.fuel ~fault_bound:1 ()
+    Verify.Obligations.check (with_faults ~fault_bound:1 (trace_config s))
   in
   check_bool "faulty exchanger rejected under fault exploration" false
     (Verify.Obligations.ok report);
@@ -349,7 +348,7 @@ let test_faulty_object_still_caught () =
   match report.problems with
   | [] -> Alcotest.fail "expected at least one problem"
   | p :: _ ->
-      let o, _ = Runner.replay ~plan:p.plan ~setup:s.setup p.schedule in
+      let o, _ = Runner.replay_target ~plan:p.plan (Program s.setup) p.schedule in
       check_bool "reported problem reproduces" true
         (Result.is_error
            (Verify.Obligations.check_outcome ~spec:s.spec ~view:s.view o))
@@ -358,8 +357,7 @@ let test_faulty_object_still_caught () =
 let test_real_exchanger_ok_with_faults () =
   let s = Workloads.Scenarios.exchanger_pair () in
   let report =
-    Verify.Obligations.check_object_with_faults ~setup:s.setup ~spec:s.spec
-      ~view:s.view ~fuel:s.fuel ~fault_bound:1 ()
+    Verify.Obligations.check (with_faults ~fault_bound:1 (trace_config s))
   in
   check_bool "exchanger survives every single fault" true
     (Verify.Obligations.ok report)
@@ -446,7 +444,8 @@ let test_degraded_elim_stack_verifies () =
   in
   let s = Workloads.Scenarios.elim_stack_push_pop ~k:1 () in
   let report =
-    Verify.Obligations.check_object ~setup ~spec:s.spec ~view:s.view ~fuel:s.fuel ()
+    Verify.Obligations.check
+      (object_config ~setup ~spec:s.spec ~view:s.view s.fuel)
   in
   check_bool "degraded elimination stack verifies" true
     (Verify.Obligations.ok report);

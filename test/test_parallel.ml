@@ -52,20 +52,19 @@ let test_faulty_scenarios_domain_invariant () =
         List.map
           (fun domains ->
             ( domains,
-              O.check_object ~domains ~setup:s.setup ~spec:s.spec ~view:s.view
-                ~fuel:s.fuel ?preemption_bound:s.bound () ))
+              O.check (trace_config ~strategy:(own_strategy s) ~domains s) ))
           domain_counts
       in
-      check_invariant (s.name ^ " (check_object)") object_reports;
+      check_invariant (s.name ^ " (trace)") object_reports;
       let black_box_reports =
         List.map
           (fun domains ->
             ( domains,
-              O.check_black_box ~domains ~setup:s.setup ~spec:s.spec
-                ~fuel:s.fuel ?preemption_bound:s.bound () ))
+              O.check (black_box_config ~strategy:(own_strategy s) ~domains s)
+            ))
           domain_counts
       in
-      check_invariant (s.name ^ " (check_black_box)") black_box_reports;
+      check_invariant (s.name ^ " (black box)") black_box_reports;
       List.iter
         (fun (d, r) ->
           check_bool (Fmt.str "%s rejected at domains=%d" s.name d) false
@@ -87,8 +86,11 @@ let test_positive_scenarios_domain_invariant () =
         List.map
           (fun domains ->
             ( domains,
-              O.check_black_box ~domains ~setup:s.setup ~spec:s.spec ~fuel
-                ?preemption_bound:s.bound () ))
+              O.check
+                {
+                  (black_box_config ~strategy:(own_strategy s) ~domains s) with
+                  fuel;
+                } ))
           domain_counts
       in
       check_invariant s.name reports;
@@ -105,8 +107,11 @@ let test_positive_scenarios_domain_invariant () =
 let test_cache_transparent_and_effective () =
   let s = S.elim_stack_push_pop ~k:1 () in
   let run ~domains ~cache =
-    O.check_black_box ~domains ~cache ~setup:s.setup ~spec:s.spec ~fuel:10
-      ?preemption_bound:s.bound ()
+    O.check
+      {
+        (black_box_config ~strategy:(own_strategy s) ~domains ~cache s) with
+        fuel = 10;
+      }
   in
   let off = run ~domains:1 ~cache:false in
   let hits (r : O.report) =
@@ -191,8 +196,8 @@ let test_durable_single_plan_domain_invariant () =
 let test_stealing_happens () =
   let s = S.faulty_elim_stack ~pushers:1 ~poppers:2 () in
   let run domains =
-    O.check_black_box ~domains ~setup:s.setup ~spec:s.spec ~fuel:8
-      ?preemption_bound:s.bound ()
+    O.check
+      { (black_box_config ~strategy:(own_strategy s) ~domains s) with fuel = 8 }
   in
   let seq = run 1 in
   List.iter
@@ -217,8 +222,7 @@ let test_stealing_happens () =
 let test_cache_per_domain_deterministic () =
   let s = S.faulty_exchanger () in
   let run ~domains ~cache =
-    O.check_black_box ~domains ~cache ~setup:s.setup ~spec:s.spec ~fuel:s.fuel
-      ?preemption_bound:s.bound ()
+    O.check (black_box_config ~strategy:(own_strategy s) ~domains ~cache s)
   in
   let off = run ~domains:1 ~cache:false in
   List.iter
@@ -262,8 +266,11 @@ let test_first_failure_partial_stats () =
 let test_domains_used () =
   let s = S.exchanger_trio () in
   let run () =
-    O.check_black_box ~domains:4 ~setup:s.setup ~spec:s.spec ~fuel:8
-      ?preemption_bound:s.bound ()
+    O.check
+      {
+        (black_box_config ~strategy:(own_strategy s) ~domains:4 s) with
+        fuel = 8;
+      }
   in
   (match (run ()).exploration with
   | None -> Alcotest.fail "exhaustive check lost its exploration stats"
@@ -304,8 +311,11 @@ let test_dpor_domain_invariant () =
         List.map
           (fun domains ->
             ( domains,
-              O.check_black_box ~domains ~strategy:Explore.Dpor ~setup:s.setup
-                ~spec:s.spec ~fuel () ))
+              O.check
+                {
+                  (black_box_config ~strategy:(Explicit Dpor) ~domains s) with
+                  fuel;
+                } ))
           domain_counts
       in
       check_invariant (s.name ^ " (dpor)") reports;
@@ -334,8 +344,11 @@ let test_bounded_domain_invariant () =
         List.map
           (fun domains ->
             ( domains,
-              O.check_black_box ~domains ~strategy ~setup:s.setup ~spec:s.spec
-                ~fuel:12 () ))
+              O.check
+                {
+                  (black_box_config ~strategy:(Explicit strategy) ~domains s) with
+                  fuel = 12;
+                } ))
           domain_counts
       in
       check_invariant
@@ -362,6 +375,39 @@ let test_bounded_domain_invariant () =
       Explore.Preemption_bounded { bound = 2 };
       Explore.Delay_bounded { bound = 2 };
     ]
+
+(* A report names the config it ran with, defaults resolved: the
+   strategy (the environment's when the config's is a default, the
+   config's own when explicit), the domain count and the cache setting. *)
+let test_report_names_resolved_config () =
+  let s = S.exchanger_pair () in
+  let vars = [ "CAL_EXPLORE_STRATEGY"; "CAL_EXPLORE_DOMAINS"; "CAL_VERDICT_CACHE" ] in
+  let ambient = List.map (fun v -> Option.value ~default:"" (Sys.getenv_opt v)) vars in
+  let with_env values f =
+    List.iter2 Unix.putenv vars values;
+    Fun.protect ~finally:(fun () -> List.iter2 Unix.putenv vars ambient) f
+  in
+  let printed ?strategy () =
+    Fmt.str "%a" O.pp_report
+      (O.check { (black_box_config ?strategy s) with fuel = 6 })
+  in
+  let has line needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length line && (String.sub line i n = needle || go (i + 1))
+    in
+    check_bool (Fmt.str "%S names %S" line needle) true (go 0)
+  in
+  with_env [ ""; "3"; "1" ] (fun () ->
+      let line = printed () in
+      List.iter (has line) [ "exhaustive dfs,"; "3 domains"; "cache on" ]);
+  with_env [ "dpor"; ""; "" ] (fun () ->
+      let line = printed () in
+      List.iter (has line) [ "exhaustive dpor,"; "1 domain,"; "cache off" ];
+      let line =
+        printed ~strategy:(Explicit (Preemption_bounded { bound = 2 })) ()
+      in
+      has line "exhaustive preemption:2,")
 
 (* The accumulator rewrite of the drop-subset enumerator must preserve the
    naive enumeration order exactly: it decides which completion witness
@@ -414,5 +460,7 @@ let () =
             test_bounded_domain_invariant;
           t "subsets_up_to matches the naive enumeration order"
             test_subsets_up_to_reference;
+          t "pp_report names the resolved config"
+            test_report_names_resolved_config;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the sampled-checking subsystem: the randomized Sampler
    schedulers on the resumable exec API, replay round-trips of random and
    sampled runs, ddmin witness shrinking (still-failing, locally minimal,
-   deterministically replayable), and the Obligations.check_sampled*
+   deterministically replayable), and the sampled Obligations.check
    detection sweep over every deliberately faulty scenario. *)
 
 open Conc
@@ -14,11 +14,7 @@ let kinds = [ Sampler.Random_walk; Sampler.Pct { d = 3 }; Sampler.Preemption_bou
 
 (* ------------------------------------------------- replay round-trips -- *)
 
-(* Strict replay through the Runner entry point of the target's kind. *)
-let replay target ~plan schedule =
-  match target with
-  | Runner.Program setup -> fst (Runner.replay ~plan ~setup schedule)
-  | Runner.Durable setup -> fst (Runner.replay_durable ~plan ~setup schedule)
+let replay target ~plan schedule = fst (Runner.replay_target ~plan target schedule)
 
 (* The regression behind Runner.outcome_equal: replaying the schedule of a
    uniform random run ([Random_walk]) reproduces the outcome
@@ -168,8 +164,8 @@ let test_shrink_properties () =
         (fails (Shrink.tolerant_replay target ~plan:m.Shrink.m_plan cand)))
     sched;
   (* (c) the witness replays deterministically, twice *)
-  let r1 = Shrink.replay target ~plan:m.Shrink.m_plan sched in
-  let r2 = Shrink.replay target ~plan:m.Shrink.m_plan sched in
+  let r1 = replay target ~plan:m.Shrink.m_plan sched in
+  let r2 = replay target ~plan:m.Shrink.m_plan sched in
   check_bool "replay #1 = minimized outcome" true
     (Runner.outcome_equal r1 m.Shrink.m_outcome);
   check_bool "replay #2 = replay #1" true (Runner.outcome_equal r1 r2)
@@ -191,25 +187,28 @@ let test_shrink_rejects_passing_input () =
 
 (* ------------------------------------------------------ sampled checks -- *)
 
+(* A scenario's [Trace] obligation, and a durable scenario's [History]
+   obligation, over [budget] sampled runs. *)
+let sampled_trace ?kind ?seed ?shrink ?fault_bound ?delay_factors (s : S.t)
+    budget =
+  with_faults ?fault_bound ?delay_factors
+    { (trace_config s) with search = sampled ?kind ?seed ?shrink budget }
+
+let sampled_durable ?seed (d : S.durable) budget =
+  { (S.durable_config d) with search = sampled ?seed budget }
+
 (* Every deliberately faulty object is caught by the sampled mode within a
    fixed-seed budget — the detection-power contract of ISSUE B15. *)
 let detect_faulty (s : S.t) =
   t (s.S.name ^ " detected") (fun () ->
-      let r =
-        O.check_sampled ~seed:1L ~setup:s.S.setup ~spec:s.S.spec ~view:s.S.view
-          ~fuel:s.S.fuel ~budget:2000 ()
-      in
+      let r = O.check (sampled_trace ~seed:1L s 2000) in
       check_bool (s.S.name ^ " violation found") false (O.ok r);
       check_bool "early exit spent less than the budget or all of it" true
         (r.O.runs <= 2000))
 
 let detect_faulty_durable (d : S.durable) =
   t (d.S.d_name ^ " detected") (fun () ->
-      let r =
-        O.check_sampled_durable ~seed:1L
-          ~max_crash_depth:d.S.d_max_crash_depth ~setup:d.S.d_setup
-          ~spec:d.S.d_spec ~fuel:d.S.d_fuel ~budget:3000 ()
-      in
+      let r = O.check (sampled_durable ~seed:1L d 3000) in
       check_bool (d.S.d_name ^ " violation found") false (O.ok r))
 
 (* Positive scenarios stay clean under sampling, including joint
@@ -219,10 +218,7 @@ let test_sampled_positive_clean () =
   let s = S.exchanger_pair () in
   List.iter
     (fun kind ->
-      let r =
-        O.check_sampled ~kind ~seed:2L ~setup:s.S.setup ~spec:s.S.spec
-          ~view:s.S.view ~fuel:s.S.fuel ~budget:150 ()
-      in
+      let r = O.check (sampled_trace ~kind ~seed:2L s 150) in
       check_bool (Sampler.kind_to_string kind ^ " clean") true (O.ok r);
       check_bool "ran the whole budget" true (r.O.runs = 150))
     kinds
@@ -230,25 +226,14 @@ let test_sampled_positive_clean () =
 let test_sampled_with_faults_positive_clean () =
   let s = S.treiber_push_pop () in
   let r =
-    O.check_sampled ~seed:2L ~fault_bound:1 ~delay_factors:[ 2 ]
-      ~setup:s.S.setup ~spec:s.S.spec ~view:s.S.view ~fuel:s.S.fuel ~budget:200
-      ()
+    O.check
+      (sampled_trace ~seed:2L ~fault_bound:1 ~delay_factors:[ 2 ] s 200)
   in
-  check_bool "treiber clean under sampled faults" true (O.ok r);
-  check_bool "delay_factors without fault_bound is rejected" true
-    (match
-       O.check_sampled ~delay_factors:[ 2 ] ~setup:s.S.setup ~spec:s.S.spec
-         ~view:s.S.view ~fuel:s.S.fuel ~budget:1 ()
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  check_bool "treiber clean under sampled faults" true (O.ok r)
 
 let test_sampled_durable_positive_clean () =
   let d = S.stack_crash_recovery () in
-  let r =
-    O.check_sampled_durable ~seed:2L ~max_crash_depth:d.S.d_max_crash_depth
-      ~setup:d.S.d_setup ~spec:d.S.d_spec ~fuel:d.S.d_fuel ~budget:200 ()
-  in
+  let r = O.check (sampled_durable ~seed:2L d 200) in
   check_bool "durable stack clean under sampled crashes" true (O.ok r)
 
 (* ------------------------------------------------------- failure report -- *)
@@ -258,13 +243,10 @@ let test_sampled_durable_positive_clean () =
 let test_report_embeds_reproduction_recipe () =
   let s = S.faulty_counter () in
   let kind = Sampler.Pct { d = 3 } in
-  let r =
-    O.check_sampled ~kind ~seed:1L ~setup:s.S.setup ~spec:s.S.spec
-      ~view:s.S.view ~fuel:s.S.fuel ~budget:2000 ()
-  in
-  (match r.O.sampling with
-  | None -> Alcotest.fail "sampled report carries no sampling metadata"
-  | Some m ->
+  let r = O.check (sampled_trace ~kind ~seed:1L s 2000) in
+  (match r.O.config.search with
+  | Exhaustive _ -> Alcotest.fail "sampled report carries no sampling metadata"
+  | Sampled { sampling = m; _ } ->
       check_bool "kind recorded" true (m.O.s_kind = kind);
       check_bool "seed recorded" true (Int64.equal m.O.s_seed 1L);
       check_bool "budget recorded" true (m.O.s_budget = 2000));
@@ -289,7 +271,7 @@ let test_report_embeds_reproduction_recipe () =
       check_bool "message renders the history" true (has "-- era 1 --");
       check_bool "message gives the recipe" true (has "reproduce:");
       (* the problem's raw pair replays the violation directly *)
-      let o, _ = Runner.replay ~plan:p.O.plan ~setup:s.S.setup p.O.schedule in
+      let o = replay ~plan:p.O.plan (Program s.S.setup) p.O.schedule in
       check_bool "printed witness fails on replay" true
         (Result.is_error (O.check_outcome ~spec:s.S.spec ~view:s.S.view o))
   | ps -> Alcotest.fail (Printf.sprintf "expected 1 problem, got %d" (List.length ps))
@@ -297,10 +279,7 @@ let test_report_embeds_reproduction_recipe () =
 (* Same kind/seed/budget: the sampled check is reproducible end-to-end. *)
 let test_sampled_check_reproducible () =
   let s = S.faulty_stack () in
-  let run () =
-    O.check_sampled ~seed:4L ~setup:s.S.setup ~spec:s.S.spec ~view:s.S.view
-      ~fuel:s.S.fuel ~budget:1000 ()
-  in
+  let run () = O.check (sampled_trace ~seed:4L s 1000) in
   let a = run () and b = run () in
   check_bool "same runs" true (a.O.runs = b.O.runs);
   check_bool "same problems" true
@@ -317,9 +296,7 @@ let replay_flag (s : S.t) (p : O.problem) =
   let wrapped, status =
     Verify.Monitor.wrap ~spec:s.S.spec ~view:s.S.view ~setup:s.S.setup
   in
-  let (_ : Runner.outcome * Runner.frontier) =
-    Runner.replay ~plan:p.O.plan ~setup:wrapped p.O.schedule
-  in
+  let (_ : Runner.outcome) = replay ~plan:p.O.plan (Program wrapped) p.O.schedule in
   status ()
 
 (* Integration of the online monitor with the sampled detectors: for every
@@ -335,17 +312,14 @@ let replay_flag (s : S.t) (p : O.problem) =
      the two obligations genuinely divide the work. *)
 let monitor_flags_witness (s : S.t) =
   t (s.S.name ^ " flagged on witness replay") (fun () ->
-      let r =
-        O.check_sampled ~seed:1L ~shrink:false ~setup:s.S.setup ~spec:s.S.spec
-          ~view:s.S.view ~fuel:s.S.fuel ~budget:2000 ()
-      in
+      let r = O.check (sampled_trace ~seed:1L ~shrink:false s 2000) in
       let p =
         match r.O.problems with
         | p :: _ -> p
         | [] -> Alcotest.fail (s.S.name ^ ": no sampled witness found")
       in
       let trace_rejected =
-        let o, _ = Runner.replay ~plan:p.O.plan ~setup:s.S.setup p.O.schedule in
+        let o = replay ~plan:p.O.plan (Program s.S.setup) p.O.schedule in
         Option.is_some
           (Cal.Spec.explain_rejection s.S.spec (s.S.view o.Runner.trace))
       in
@@ -358,9 +332,7 @@ let monitor_flags_witness (s : S.t) =
           Alcotest.fail (s.S.name ^ ": monitor missed the sampled witness")
       | false, `Ok, `Ok ->
           (* agreement-only bug: invisible to a trace monitor by design *)
-          let o, _ =
-            Runner.replay ~plan:p.O.plan ~setup:s.S.setup p.O.schedule
-          in
+          let o = replay ~plan:p.O.plan (Program s.S.setup) p.O.schedule in
           check_bool "black-box check still rejects the replay" true
             (Result.is_error
                (O.check_outcome ~spec:s.S.spec ~view:s.S.view o))
@@ -375,9 +347,9 @@ let monitor_flags_witness (s : S.t) =
 let test_monitor_flags_fault_witness () =
   let s = S.faulty_counter () in
   let r =
-    O.check_sampled ~seed:1L ~shrink:false ~fault_bound:1
-      ~delay_factors:[ 2 ] ~setup:s.S.setup ~spec:s.S.spec ~view:s.S.view
-      ~fuel:s.S.fuel ~budget:2000 ()
+    O.check
+      (sampled_trace ~seed:1L ~shrink:false ~fault_bound:1 ~delay_factors:[ 2 ]
+         s 2000)
   in
   let p =
     match r.O.problems with
@@ -464,9 +436,7 @@ let test_monitor_latches_across_crash_eras () =
   | Some (plan, o, step) ->
       (* the era-3 acceptor restart did not clear the era-2 violation, and
          the latched step replays deterministically *)
-      let o', _ =
-        Runner.replay_durable ~plan ~setup:wrapped o.Runner.schedule
-      in
+      let o' = replay ~plan (Durable wrapped) o.Runner.schedule in
       check_bool "replay reproduces the run" true (Runner.outcome_equal o o');
       (match status () with
       | `Violated (step', _) ->

@@ -16,9 +16,7 @@ let bounded ?(bound = 2) (s : S.t) =
 
 let black_box (s : S.t) =
   t (s.name ^ " [black-box]") `Quick (fun () ->
-      let r =
-        Verify.Obligations.check_black_box ~setup:s.setup ~spec:s.spec ~fuel:s.fuel ()
-      in
+      let r = Verify.Obligations.check (black_box_config s) in
       check_bool s.name s.expect_ok (Verify.Obligations.ok r))
 
 let () =

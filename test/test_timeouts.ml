@@ -141,8 +141,9 @@ let test_solo_timed_exchanger_times_out () =
   check_bool "at least one run" true (!saw >= 1 && stats.Explore.runs = !saw);
   (* the Timeout CA-element satisfies the obligations *)
   let r =
-    Verify.Obligations.check_object ~setup:(solo_timed_setup ~deadline:3)
-      ~spec:(Spec_exchanger.spec ()) ~view:View.identity ~fuel:40 ()
+    Verify.Obligations.check
+      (object_config ~setup:(solo_timed_setup ~deadline:3)
+         ~spec:(Spec_exchanger.spec ()) ~view:View.identity 40)
   in
   check_bool "obligations ok" true (Verify.Obligations.ok r)
 
@@ -229,9 +230,9 @@ let test_timed_fault_sweep () =
      the obligations hold over the whole single-fault sweep *)
   let s = S.exchanger_timed_pair () in
   let r =
-    Verify.Obligations.check_object_with_faults ~delay_factors:[ 2 ]
-      ~setup:s.S.setup ~spec:s.S.spec ~view:s.S.view ~fuel:s.S.fuel
-      ~max_plans:80 ~fault_bound:1 ()
+    Verify.Obligations.check
+      (with_faults ~delay_factors:[ 2 ] ~max_plans:80 ~fault_bound:1
+         (trace_config s))
   in
   check_bool "fault sweep ok" true (Verify.Obligations.ok r);
   check_bool "sweep explored runs" true (r.Verify.Obligations.runs > 0)
@@ -250,8 +251,8 @@ let test_sync_queue_take_timed_solo () =
     | None -> false);
   let probe = Sync_queue.create (Ctx.create ()) in
   let r =
-    Verify.Obligations.check_object ~setup ~spec:(Sync_queue.spec probe)
-      ~view:(Sync_queue.view probe) ~fuel:40 ()
+    Verify.Obligations.check
+      (object_config ~setup ~spec:(Sync_queue.spec probe) ~view:(Sync_queue.view probe) 40)
   in
   check_bool "obligations ok" true (Verify.Obligations.ok r)
 
@@ -280,8 +281,8 @@ let test_sync_queue_timed_pair () =
   check_bool "some schedule times out" true !saw_timeout;
   let probe = Sync_queue.create (Ctx.create ()) in
   let r =
-    Verify.Obligations.check_object ~setup ~spec:(Sync_queue.spec probe)
-      ~view:(Sync_queue.view probe) ~fuel:60 ()
+    Verify.Obligations.check
+      (object_config ~setup ~spec:(Sync_queue.spec probe) ~view:(Sync_queue.view probe) 60)
   in
   check_bool "obligations ok" true (Verify.Obligations.ok r)
 
@@ -299,8 +300,8 @@ let test_dual_queue_deq_timed_solo () =
     | None -> false);
   let probe = Dual_queue.create (Ctx.create ()) in
   let r =
-    Verify.Obligations.check_object ~setup ~spec:(Dual_queue.spec probe)
-      ~view:(Dual_queue.view probe) ~fuel:40 ()
+    Verify.Obligations.check
+      (object_config ~setup ~spec:(Dual_queue.spec probe) ~view:(Dual_queue.view probe) 40)
   in
   check_bool "obligations ok" true (Verify.Obligations.ok r)
 
@@ -385,7 +386,7 @@ let livelock_setup ctx =
     |]
 
 let test_watchdog_flags_livelock () =
-  let stats = Explore.liveness ~setup:livelock_setup ~fuel:16 ~window:8 () in
+  let _, stats = Explore.liveness ~setup:livelock_setup ~fuel:16 ~window:8 () in
   check_bool "livelocks found" true (stats.Explore.live_livelocked > 0);
   check_bool "witnesses recorded" true (stats.Explore.livelocks <> []);
   let sched, plan = List.hd stats.Explore.livelocks in
@@ -407,7 +408,7 @@ let test_watchdog_starvation_excused () =
     (match Explore.watchdog ~setup ~window:4 sched with
     | Explore.Starved ts -> List.mem 1 ts
     | _ -> false);
-  let stats = Explore.liveness ~setup ~fuel:10 ~window:4 () in
+  let _, stats = Explore.liveness ~setup ~fuel:10 ~window:4 () in
   check_bool "liveness sees starved runs" true (stats.Explore.live_starved > 0)
 
 let test_watchdog_deadlock () =
@@ -424,7 +425,7 @@ let test_watchdog_deadlock () =
   let sched = drive [] in
   check_bool "blocked waiter is a deadlock" true
     (Explore.watchdog ~setup ~window:4 sched = Explore.Deadlocked);
-  let stats = Explore.liveness ~setup ~fuel:20 ~window:4 () in
+  let _, stats = Explore.liveness ~setup ~fuel:20 ~window:4 () in
   check_bool "liveness: all runs deadlock" true
     (stats.Explore.live_deadlocked = stats.Explore.live_runs
     && stats.Explore.live_livelocked = 0)
@@ -441,7 +442,8 @@ let test_liveness_obligation_timed_pair () =
      passes the liveness obligation outright *)
   let s = S.exchanger_timed_pair () in
   let r =
-    Verify.Obligations.check_liveness ~setup:s.S.setup ~fuel:s.S.fuel ~window:8 ()
+    Verify.Obligations.check
+      { (trace_config s) with obligation = Liveness { window = 8 } }
   in
   check_bool "liveness obligation ok" true (Verify.Obligations.ok r);
   check_bool "runs counted" true (r.Verify.Obligations.runs > 0);
@@ -464,7 +466,7 @@ let degraded_elim_setup ctx =
 let test_liveness_degraded_elim_stack () =
   (* graceful degradation bounds the elimination detour: no fair schedule
      spins the push/pop pair forever *)
-  let stats =
+  let _, stats =
     Explore.liveness ~setup:degraded_elim_setup ~fuel:26 ~window:8
       ~preemption_bound:2 ()
   in
@@ -472,10 +474,10 @@ let test_liveness_degraded_elim_stack () =
     (stats.Explore.live_livelocked = 0);
   check_bool "some runs complete" true (stats.Explore.live_completed > 0)
 
-let test_liveness_with_faults_timed_pair () =
+let test_liveness_fault_sweep_timed_pair () =
   let s = S.exchanger_timed_pair () in
   let plans, stats =
-    Explore.liveness_with_faults ~delay_factors:[ 2 ] ~setup:s.S.setup
+    Explore.liveness ~delay_factors:[ 2 ] ~setup:s.S.setup
       ~fuel:s.S.fuel ~window:8 ~max_plans:40 ~fault_bound:1 ()
   in
   check_bool "several plans" true (plans > 1);
@@ -491,7 +493,7 @@ let test_liveness_matches_watchdog () =
   let timed = S.exchanger_timed_pair () in
   List.iter
     (fun (name, setup, fuel, window, preemption_bound) ->
-      let live = Explore.liveness ~setup ~fuel ~window ?preemption_bound () in
+      let _, live = Explore.liveness ~setup ~fuel ~window ?preemption_bound () in
       let completed = ref 0 and deadlocked = ref 0 in
       let starved = ref 0 and livelocked = ref 0 in
       let oracle =
@@ -562,7 +564,7 @@ let () =
           t "window validation" test_watchdog_window_validation;
           t "liveness obligation: timed pair" test_liveness_obligation_timed_pair;
           t "liveness: degraded elimination stack" test_liveness_degraded_elim_stack;
-          t "liveness over the fault sweep" test_liveness_with_faults_timed_pair;
+          t "liveness over the fault sweep" test_liveness_fault_sweep_timed_pair;
           t "liveness matches the single-run watchdog"
             test_liveness_matches_watchdog;
         ] );

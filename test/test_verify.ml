@@ -86,15 +86,56 @@ let test_scenarios_obligations () =
 
 let test_black_box_agrees_with_obligations () =
   let s = Workloads.Scenarios.exchanger_pair () in
-  let r1 =
-    Verify.Obligations.check_object ~setup:s.setup ~spec:s.spec ~view:s.view ~fuel:s.fuel
-      ()
-  in
-  let r2 = Verify.Obligations.check_black_box ~setup:s.setup ~spec:s.spec ~fuel:s.fuel () in
+  let r1 = Verify.Obligations.check (trace_config s) in
+  let r2 = Verify.Obligations.check (black_box_config s) in
   check_bool "both accept" true
     (Verify.Obligations.ok r1 && Verify.Obligations.ok r2);
   Alcotest.(check int) "same run count" r1.Verify.Obligations.runs
     r2.Verify.Obligations.runs
+
+(* Every combination of program, obligation, search and fault space that
+   no check serves is rejected up front, never silently reinterpreted. *)
+let test_check_rejects_unserved () =
+  let module O = Verify.Obligations in
+  let s = Workloads.Scenarios.exchanger_pair () in
+  let d = Workloads.Scenarios.stack_crash_recovery () in
+  let trace = trace_config s and durable = Workloads.Scenarios.durable_config d in
+  let history ?cache checker (c : O.config) =
+    { c with obligation = History { spec = s.spec; checker; cache } }
+  in
+  let exhaustive ?(strategy = O.Default Explore.Dfs) ?domains c =
+    { c with O.search = Exhaustive { strategy; domains; max_runs = None } }
+  in
+  let liveness c = { c with O.obligation = Liveness { window = 8 } } in
+  let dpor = O.Explicit Explore.Dpor in
+  List.iter
+    (fun (what, config) ->
+      check_bool what true
+        (match O.check config with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ( "delay_factors without fault_bound",
+        with_faults ~delay_factors:[ 2 ] { trace with search = sampled 1 } );
+      ("trace obligation on a durable program", { durable with obligation = trace.obligation });
+      ("liveness on a durable program", liveness durable);
+      ("liveness under sampling", liveness { trace with search = sampled 1 });
+      ("dpor with faults", with_faults ~fault_bound:1 (exhaustive ~strategy:dpor trace));
+      ("dpor on the liveness sweep", liveness (exhaustive ~strategy:dpor trace));
+      ( "delay bound on the crash sweep",
+        exhaustive ~strategy:(Explicit (Delay_bounded { bound = 1 })) durable );
+      ("domains on the liveness sweep", liveness (exhaustive ~domains:2 trace));
+      ("domains on the crash sweep", exhaustive ~domains:2 durable);
+      ("lin checker on a plain program", history `Lin trace);
+      ("black box with faults", with_faults ~fault_bound:1 (history `Cal trace));
+      ("black box under sampling", history `Cal { trace with search = sampled 1 });
+      ( "cache on a sampled durable check",
+        history ~cache:true `Cal { durable with search = sampled 1 } );
+      ("crash depth on a plain program", with_faults ~max_crash_depth:1 trace);
+      ("max_plans without a plan sweep", with_faults ~max_plans:4 trace);
+      ( "max_plans under sampling",
+        with_faults ~max_plans:4 ~fault_bound:1 { trace with search = sampled 1 } );
+    ]
 
 let test_rg_clean_program () =
   let report =
@@ -321,6 +362,7 @@ let () =
           t "check_outcome" test_check_outcome_ok_and_bad;
           t "scenarios" test_scenarios_obligations;
           t "black box agrees" test_black_box_agrees_with_obligations;
+          t "check rejects unserved combinations" test_check_rejects_unserved;
         ] );
       ( "rely-guarantee",
         [
