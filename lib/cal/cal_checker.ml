@@ -61,176 +61,157 @@ let check ?crashed ~spec h =
      so it is always droppable. *)
   let last_era = History.eras h - 1 in
   let droppable (e : History.entry) =
-    e.era < last_era
-    ||
-    match crashed with
-    | None -> true
-    | Some tids -> List.exists (Ids.Tid.equal e.tid) tids
+    e.ret = None
+    && (e.era < last_era
+       ||
+       match crashed with
+       | None -> true
+       | Some tids -> List.exists (Ids.Tid.equal e.tid) tids)
   in
-  let pending_ids =
-    Array.to_list entries
-    |> List.filter_map (fun (e : History.entry) ->
-           if e.res_index = None && droppable e then Some e.id else None)
+  let bits f =
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      if f i then m := !m lor (1 lsl i)
+    done;
+    !m
   in
-  let entry_bit = Hashtbl.create 16 in
-  Array.iteri (fun i (e : History.entry) -> Hashtbl.replace entry_bit e.id i) entries;
-  let bit_of id = Hashtbl.find entry_bit id in
-  (* Operation-level real-time order; pending operations precede nothing. *)
-  let precedes i j = History.precedes entries.(i) entries.(j) in
+  let droppable_mask = bits (fun i -> droppable entries.(i)) in
+  (* Operation-level real-time order as predecessor bitmasks; a pending
+     operation precedes only the operations of later eras. *)
   let preds =
-    Array.init n (fun j ->
-        List.filter (fun i -> precedes i j) (List.init n Fun.id))
+    Array.init n (fun j -> bits (fun i -> History.precedes entries.(i) entries.(j)))
   in
+  let full = (1 lsl n) - 1 in
   let states_explored = ref 0 in
   let memo_hits = ref 0 in
-  let drop_sets = ref 0 in
+  let drop_moves = ref 0 in
   let stats () =
     {
       states_explored = !states_explored;
       memo_hits = !memo_hits;
-      drop_sets_tried = !drop_sets;
+      drop_sets_tried = !drop_moves;
     }
   in
-  (* Search one completion shape: [active] is the bitmask of operations kept
-     (pending operations outside it are dropped). Returns the explaining
-     trace (reversed) together with the chosen returns for kept pending
-     operations. *)
-  let search active =
-    let failed = Hashtbl.create (Tuning.checker_table_size ~ops:n) in
-    let chosen_rets = Hashtbl.create 8 in
-    let rec dfs placed acc acc_trace =
-      if placed = active then Some (List.rev acc_trace)
+  (* One DFS decides the completion and the trace together. [decided] is
+     the bitmask of operations already placed in an element or dropped;
+     an operation is available once all its predecessors are decided, so
+     a dropped operation releases its real-time successors. The future of
+     a state depends only on [decided] and the acceptor, hence the memo
+     key. The search returns the trace, the dropped mask and the chosen
+     returns of kept pending operations. *)
+  let failed = Hashtbl.create (Tuning.checker_table_size ~ops:n) in
+  let rec dfs decided dropped acc acc_trace rets =
+    if decided = full then Some (List.rev acc_trace, dropped, rets)
+    else begin
+      let memo_key = (decided, Spec.key acc) in
+      if Hashtbl.mem failed memo_key then begin
+        incr memo_hits;
+        None
+      end
       else begin
-        let memo_key = (placed, Spec.key acc) in
-        if Hashtbl.mem failed memo_key then begin
-          incr memo_hits;
-          None
-        end
-        else begin
-          incr states_explored;
-          let avail =
-            List.filter
+        incr states_explored;
+        let avail = ref [] in
+        for i = n - 1 downto 0 do
+          if decided land (1 lsl i) = 0 && preds.(i) land lnot decided = 0 then
+            avail := i :: !avail
+        done;
+        let avail = !avail in
+        (* Group by (object, era): a CA-element must never straddle a
+           crash marker. The era-aware [precedes] already forces [avail]
+           to be era-uniform (a later-era operation waits for every
+           earlier-era one), but the key makes the invariant structural
+           rather than a consequence of the search order. *)
+        let by_oid =
+          List.fold_left
+            (fun groups i ->
+              let key = (entries.(i).History.oid, entries.(i).History.era) in
+              let cur = try List.assoc key groups with Not_found -> [] in
+              (key, i :: cur) :: List.remove_assoc key groups)
+            [] avail
+        in
+        let try_subset subset =
+          let fixed, pend =
+            List.partition (fun i -> entries.(i).History.ret <> None) subset
+          in
+          let fixed_ops =
+            List.map (fun i -> Option.get (History.op_of_entry entries.(i))) fixed
+          in
+          let cand_lists =
+            List.map
               (fun i ->
-                active land (1 lsl i) <> 0
-                && placed land (1 lsl i) = 0
-                && List.for_all
-                     (fun p ->
-                       active land (1 lsl p) = 0 || placed land (1 lsl p) <> 0)
-                     preds.(i))
-              (List.init n Fun.id)
+                Spec.candidates acc ~universe (History.pending_of_entry entries.(i)))
+              pend
           in
-          (* Group by (object, era): a CA-element must never straddle a
-             crash marker. The era-aware [precedes] already forces [avail]
-             to be era-uniform (a later-era operation waits for every
-             earlier-era one), but the key makes the invariant structural
-             rather than a consequence of the search order. *)
-          let by_oid =
-            List.fold_left
-              (fun groups i ->
-                let key = (entries.(i).History.oid, entries.(i).History.era) in
-                let cur = try List.assoc key groups with Not_found -> [] in
-                (key, i :: cur) :: List.remove_assoc key groups)
-              [] avail
+          let try_assignment pend_rets =
+            let pend_ops =
+              List.map2
+                (fun i ret ->
+                  Op.of_pending (History.pending_of_entry entries.(i)) ~ret)
+                pend pend_rets
+            in
+            let oid = entries.(List.hd subset).History.oid in
+            let elem = Ca_trace.element oid (fixed_ops @ pend_ops) in
+            match Spec.step acc elem with
+            | None -> None
+            | Some acc' ->
+                let decided' =
+                  List.fold_left (fun m i -> m lor (1 lsl i)) decided subset
+                in
+                dfs decided' dropped acc' (elem :: acc_trace)
+                  (List.rev_append (List.combine pend pend_rets) rets)
           in
-          let try_subset subset =
-            let fixed, pend =
-              List.partition (fun i -> entries.(i).History.ret <> None) subset
-            in
-            let fixed_ops =
-              List.map (fun i -> Option.get (History.op_of_entry entries.(i))) fixed
-            in
-            let cand_lists =
-              List.map
-                (fun i ->
-                  Spec.candidates acc ~universe
-                    (History.pending_of_entry entries.(i)))
-                pend
-            in
-            let try_assignment rets =
-              let pend_ops =
-                List.map2
-                  (fun i ret ->
-                    Op.of_pending (History.pending_of_entry entries.(i)) ~ret)
-                  pend rets
-              in
-              let oid = entries.(List.hd subset).History.oid in
-              let elem = Ca_trace.element oid (fixed_ops @ pend_ops) in
-              match Spec.step acc elem with
-              | None -> None
-              | Some acc' ->
-                  let placed' =
-                    List.fold_left (fun m i -> m lor (1 lsl i)) placed subset
-                  in
-                  List.iter2 (fun i ret -> Hashtbl.replace chosen_rets i ret) pend rets;
-                  let r = dfs placed' acc' (elem :: acc_trace) in
-                  if r = None then
-                    List.iter (fun i -> Hashtbl.remove chosen_rets i) pend;
-                  r
-            in
-            List.find_map try_assignment (ret_assignments cand_lists)
-          in
-          let result =
+          List.find_map try_assignment (ret_assignments cand_lists)
+        in
+        let drop i =
+          let bit = 1 lsl i in
+          if droppable_mask land bit = 0 then None
+          else begin
+            incr drop_moves;
+            dfs (decided lor bit) (dropped lor bit) acc acc_trace rets
+          end
+        in
+        (* Place-moves first, in the order that fixes the witness of a
+           history with nothing to drop; drop-moves only after every
+           placement from this state has failed. *)
+        let result =
+          match
             List.find_map
               (fun (_, group) ->
                 List.find_map try_subset
                   (subsets_up_to spec.Spec.max_element_size group))
               by_oid
-          in
-          if result = None then Hashtbl.replace failed memo_key ();
-          result
-        end
-      end
-    in
-    match dfs 0 spec.Spec.start [] with
-    | None -> None
-    | Some trace -> Some (trace, chosen_rets)
-  in
-  (* Enumerate drop subsets of pending invocations, fewest drops first: a
-     completion that keeps more operations is a stronger witness. *)
-  let p = List.length pending_ids in
-  let full_mask = (1 lsl n) - 1 in
-  let drop_masks =
-    List.init (1 lsl p) Fun.id
-    |> List.sort (fun a b ->
-           (* fewer dropped operations first *)
-           let pop x =
-             let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-             go x 0
-           in
-           Int.compare (pop a) (pop b))
-  in
-  let result =
-    List.find_map
-      (fun dm ->
-        incr drop_sets;
-        let dropped_bits =
-          List.filteri (fun i _ -> dm land (1 lsl i) <> 0) pending_ids
-          |> List.fold_left (fun m id -> m lor (1 lsl bit_of id)) 0
+          with
+          | Some _ as r -> r
+          | None -> List.find_map drop avail
         in
-        let active = full_mask land lnot dropped_bits in
-        Option.map (fun r -> (r, dropped_bits)) (search active))
-      drop_masks
+        if result = None then Hashtbl.replace failed memo_key ();
+        result
+      end
+    end
   in
-  match result with
-  | Some ((trace, chosen_rets), dropped_bits) ->
+  match dfs 0 0 spec.Spec.start [] [] with
+  | Some (trace, dropped, rets) ->
       (* Rebuild the completion: remove dropped invocations, append the
          chosen responses for kept pending operations. *)
-      let dropped_ids =
-        Array.to_list entries
-        |> List.filter_map (fun (e : History.entry) ->
-               if dropped_bits land (1 lsl bit_of e.id) <> 0 then Some e.id else None)
+      let dropped_inv =
+        List.filter_map
+          (fun i ->
+            if dropped land (1 lsl i) <> 0 then Some entries.(i).History.inv_index
+            else None)
+          (List.init n Fun.id)
       in
       let kept_actions =
         History.to_list h
-        |> List.filteri (fun idx _ -> not (List.mem idx dropped_ids))
+        |> List.filteri (fun idx _ -> not (List.mem idx dropped_inv))
       in
       let appended =
-        Array.to_list entries
-        |> List.filter_map (fun (e : History.entry) ->
-               match Hashtbl.find_opt chosen_rets (bit_of e.id) with
-               | Some ret ->
-                   Some (e.era, Action.res ~tid:e.tid ~oid:e.oid ~fid:e.fid ret)
-               | None -> None)
+        List.filter_map
+          (fun i ->
+            let e = entries.(i) in
+            Option.map
+              (fun ret -> (e.era, Action.res ~tid:e.tid ~oid:e.oid ~fid:e.fid ret))
+              (List.assoc_opt i rets))
+          (List.init n Fun.id)
       in
       Accepted
         {

@@ -4,22 +4,40 @@
     CA-traces [𝒯] when every history [H ∈ OS] has a completion
     [Hᶜ ∈ complete(H)] and a trace [T ∈ 𝒯] with [Hᶜ ⊑CAL T]. This module
     decides the per-history question for the acceptor-based specifications
-    of {!Spec}.
+    of {!Spec}; {!Lin_checker} is the same search restricted to singleton
+    elements.
 
-    The search interleaves the choice of a completion with the construction
-    of the explaining trace: pending operations are either dropped (their
-    invocation removed) or completed with a specification-proposed return
-    value at the moment they are placed into a CA-element. Placement
-    proceeds front-to-back: a CA-element may only contain operations whose
-    real-time predecessors have all been placed in strictly earlier
-    elements, which realises the [i ≺H j ⟹ π(i) < π(j)] condition of
-    Definition 5 by construction. Failed search states are memoised on
-    (set of placed operations, specification state). *)
+    One depth-first search interleaves the choice of a completion with the
+    construction of the explaining trace. Its state is the set of
+    {e decided} operations and the specification's acceptor. An available
+    operation — one whose real-time predecessors are all decided — is
+    decided by a {e place} move, which puts it into the next CA-element
+    (a pending operation is completed there with a specification-proposed
+    return value), or, when it is a droppable pending operation, by a
+    {e drop} move, which removes its invocation from the completion.
+    Either move satisfies the operation's real-time successors. A
+    CA-element only contains operations whose predecessors were decided
+    in strictly earlier steps, which realises the
+    [i ≺H j ⟹ π(i) < π(j)] condition of Definition 5 by construction.
+    Failed states are memoised on (decided set, specification state) in
+    one table per call.
+
+    {b Witness order.} From every state the search tries all place moves
+    before any drop move. Place moves go through the available operations'
+    (object, era) groups, then {!subsets_up_to} within a group, then the
+    assignments of candidate returns to the element's pending operations.
+    On a history with nothing droppable the search therefore visits the
+    same states in the same order as a search that never drops. When a
+    pending operation can be dropped, the first witness found is not
+    guaranteed to drop as few operations as possible: a place-first path
+    that drops late may be found before a completion that keeps more
+    operations. *)
 
 type stats = {
   states_explored : int;  (** DFS nodes visited *)
   memo_hits : int;        (** search states pruned by memoisation *)
-  drop_sets_tried : int;  (** how many pending-drop subsets were attempted *)
+  drop_sets_tried : int;
+      (** drop moves tried: 0 on a history with nothing droppable *)
 }
 
 type verdict =
@@ -63,7 +81,7 @@ val subsets_up_to : int -> 'a list -> 'a list list
 (** Non-empty sublists with at most [k] elements, each in the original
     element order, subsets containing earlier elements first. The
     enumeration order decides which witness the search finds first, so it
-    is part of the checker's contract; exposed for the tests and the B14
-    micro-assertion that the accumulator-based rewrite preserved it. *)
+    is part of the checker's contract. {!Interval_lin} enumerates its
+    rounds with it too. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -23,19 +23,9 @@ type verdict =
     }
   | Not_interval_linearizable of { reason : string }
 
-(* Non-empty subsets of at most [k] elements. *)
-let subsets_up_to k xs =
-  let rec go k = function
-    | [] -> [ [] ]
-    | x :: rest ->
-        let without = go k rest in
-        let with_x = if k = 0 then [] else List.map (fun s -> x :: s) (go (k - 1) rest) in
-        with_x @ without
-  in
-  go k xs
-
-(* All subsets (for choosing which active operations end in a round). *)
-let all_subsets xs = subsets_up_to (List.length xs) xs
+(* All subsets (for choosing which active operations end in a round),
+   the empty one last. *)
+let all_subsets xs = Cal_checker.subsets_up_to (List.length xs) xs @ [ [] ]
 
 let check ~spec h =
   (match History.validate h with
@@ -80,7 +70,7 @@ let check ~spec h =
             (List.init n Fun.id)
         in
         let start_choices =
-          [] :: subsets_up_to spec.max_starts_per_round ready
+          [] :: Cal_checker.subsets_up_to spec.max_starts_per_round ready
           |> List.filter (fun s -> s <> [] || active <> [])
           |> List.sort_uniq compare
         in

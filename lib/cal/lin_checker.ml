@@ -1,154 +1,15 @@
-type stats = { states_explored : int; memo_hits : int; drop_sets_tried : int }
+type stats = Cal_checker.stats
 
 type verdict =
   | Linearizable of { linearization : Op.t list; completion : History.t; stats : stats }
   | Not_linearizable of { reason : string; stats : stats }
 
-let universe_of_entries entries =
-  List.concat_map
-    (fun (e : History.entry) ->
-      Value.subvalues e.arg
-      @ (match e.ret with None -> [] | Some r -> Value.subvalues r))
-    entries
-  |> List.sort_uniq Value.compare
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let check ?crashed ~spec h =
-  (match History.validate h with
-  | Ok () -> ()
-  | Error reason -> invalid_arg ("Lin_checker.check: " ^ reason));
-  let entries = Array.of_list (History.entries h) in
-  let n = Array.length entries in
-  if n > 62 then invalid_arg "Lin_checker.check: more than 62 operations";
-  let universe = universe_of_entries (Array.to_list entries) in
-  let preds =
-    Array.init n (fun j ->
-        List.filter
-          (fun i -> History.precedes entries.(i) entries.(j))
-          (List.init n Fun.id))
-  in
-  (* Crash-tolerant and durable modes (mirror {!Cal_checker.check}): only
-     crashed threads' pending operations are droppable, except that an
-     operation pending at a system crash — any era before the final one —
-     may always have been lost. *)
-  let last_era = History.eras h - 1 in
-  let droppable (e : History.entry) =
-    e.era < last_era
-    ||
-    match crashed with
-    | None -> true
-    | Some tids -> List.exists (Ids.Tid.equal e.tid) tids
-  in
-  let pending_bits =
-    List.filteri
-      (fun i _ -> entries.(i).History.ret = None && droppable entries.(i))
-      (List.init n Fun.id)
-  in
-  let states_explored = ref 0 in
-  let memo_hits = ref 0 in
-  let drop_sets = ref 0 in
-  let stats () =
-    {
-      states_explored = !states_explored;
-      memo_hits = !memo_hits;
-      drop_sets_tried = !drop_sets;
-    }
-  in
-  let search active =
-    let failed = Hashtbl.create (Tuning.checker_table_size ~ops:n) in
-    let rec dfs placed acc acc_ops =
-      if placed = active then Some (List.rev acc_ops)
-      else begin
-        let memo_key = (placed, Spec.key acc) in
-        if Hashtbl.mem failed memo_key then begin
-          incr memo_hits;
-          None
-        end
-        else begin
-          incr states_explored;
-          let avail =
-            List.filter
-              (fun i ->
-                active land (1 lsl i) <> 0
-                && placed land (1 lsl i) = 0
-                && List.for_all
-                     (fun p ->
-                       active land (1 lsl p) = 0 || placed land (1 lsl p) <> 0)
-                     preds.(i))
-              (List.init n Fun.id)
-          in
-          let try_op i =
-            let candidates =
-              match History.op_of_entry entries.(i) with
-              | Some op -> [ op ]
-              | None ->
-                  let p = History.pending_of_entry entries.(i) in
-                  List.map
-                    (fun ret -> Op.of_pending p ~ret)
-                    (Spec.candidates acc ~universe p)
-            in
-            List.find_map
-              (fun op ->
-                match Spec.step acc (Ca_trace.singleton op) with
-                | None -> None
-                | Some acc' -> dfs (placed lor (1 lsl i)) acc' ((i, op) :: acc_ops))
-              candidates
-          in
-          let result = List.find_map try_op avail in
-          if result = None then Hashtbl.replace failed memo_key ();
-          result
-        end
-      end
-    in
-    dfs 0 spec.Spec.start []
-  in
-  let p = List.length pending_bits in
-  let full_mask = (1 lsl n) - 1 in
-  let drop_masks =
-    List.init (1 lsl p) Fun.id
-    |> List.sort (fun a b -> Int.compare (popcount a) (popcount b))
-  in
-  let result =
-    List.find_map
-      (fun dm ->
-        incr drop_sets;
-        let dropped =
-          List.filteri (fun k _ -> dm land (1 lsl k) <> 0) pending_bits
-          |> List.fold_left (fun m i -> m lor (1 lsl i)) 0
-        in
-        Option.map (fun ops -> (ops, dropped)) (search (full_mask land lnot dropped)))
-      drop_masks
-  in
-  match result with
-  | Some (indexed_ops, dropped) ->
-      let dropped_inv_indices =
-        List.filteri (fun i _ -> dropped land (1 lsl i) <> 0) (Array.to_list entries)
-        |> List.map (fun (e : History.entry) -> e.inv_index)
-      in
-      let kept_actions =
-        History.to_list h
-        |> List.filteri (fun idx _ -> not (List.mem idx dropped_inv_indices))
-      in
-      let appended =
-        List.filter_map
-          (fun (i, (op : Op.t)) ->
-            if entries.(i).History.ret = None then
-              Some
-                ( entries.(i).History.era,
-                  Action.res ~tid:op.tid ~oid:op.oid ~fid:op.fid op.ret )
-            else None)
-          indexed_ops
-      in
+  match Cal_checker.check ?crashed ~spec:{ spec with Spec.max_element_size = 1 } h with
+  | Cal_checker.Accepted { trace; completion; stats } ->
       Linearizable
-        {
-          linearization = List.map snd indexed_ops;
-          completion = History.with_responses kept_actions appended;
-          stats = stats ();
-        }
-  | None ->
+        { linearization = List.concat_map Ca_trace.element_ops trace; completion; stats }
+  | Cal_checker.Rejected { stats; _ } ->
       Not_linearizable
         {
           reason =
@@ -156,7 +17,7 @@ let check ?crashed ~spec h =
               (if crashed = None && History.crash_count h = 0 then ""
                else "crash-consistent ")
               spec.Spec.name;
-          stats = stats ();
+          stats;
         }
 
 let is_linearizable ?crashed ~spec h =

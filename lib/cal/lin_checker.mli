@@ -3,13 +3,15 @@
 
     Linearizability is the special case of CAL in which every CA-element is
     a {e singleton}: the explaining trace is a sequential history. This
-    checker therefore takes the same {!Spec} values but only ever offers
-    singleton elements to the acceptor. Running it against a CA-object's
-    specification demonstrates the paper's §3 claim: histories with
-    successful exchanges have {e no} sequential explanation, because the
-    exchanger specification accepts no singleton success element. *)
+    checker is {!Cal_checker.check} on the same {!Spec} with
+    [max_element_size = 1], so it only ever offers singleton elements to
+    the acceptor; its witness order and statistics are that search's.
+    Running it against a CA-object's specification demonstrates the
+    paper's §3 claim: histories with successful exchanges have {e no}
+    sequential explanation, because the exchanger specification accepts
+    no singleton success element. *)
 
-type stats = { states_explored : int; memo_hits : int; drop_sets_tried : int }
+type stats = Cal_checker.stats
 
 type verdict =
   | Linearizable of {

@@ -3,6 +3,10 @@
 
 open Cal
 
+(* The checker Cal_checker's single search replaced, kept as the reference
+   of test_cal_oracle. *)
+module Cal_oracle = Cal_oracle
+
 let tid = Ids.Tid.of_int
 let oid = Ids.Oid.v
 let fid = Ids.Fid.v

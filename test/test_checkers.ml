@@ -172,11 +172,28 @@ let test_ill_formed_raises () =
   with Invalid_argument _ -> ()
 
 let test_stats_populated () =
-  match Cal_checker.check ~spec:ex_spec P.h1 with
-  | Cal_checker.Accepted { stats; _ } ->
-      check_bool "explored states" true (stats.states_explored > 0);
-      check_bool "tried a drop set" true (stats.drop_sets_tried >= 1)
-  | Cal_checker.Rejected _ -> Alcotest.fail "expected accept"
+  let stats spec h =
+    match Cal_checker.check ~spec h with
+    | Cal_checker.Accepted { stats; _ } -> stats
+    | Cal_checker.Rejected { reason; _ } -> Alcotest.fail reason
+  in
+  let complete = stats ex_spec P.h1 in
+  check_bool "explored states" true (complete.states_explored > 0);
+  Alcotest.(check int) "no drop move on a complete history" 0
+    complete.drop_sets_tried;
+  (* The push pending at the crash must have been lost: the pop after it
+     found the stack empty, so only a drop move explains the history. *)
+  let lost =
+    History.of_list
+      [
+        Action.inv ~tid:(tid 1) ~oid:s_oid ~fid:Spec_stack.fid_push (vi 1);
+        Action.crash ~epoch:1;
+        Action.inv ~tid:(tid 2) ~oid:s_oid ~fid:Spec_stack.fid_pop Value.unit;
+        Action.res ~tid:(tid 2) ~oid:s_oid ~fid:Spec_stack.fid_pop (fail_int 0);
+      ]
+  in
+  check_bool "tried a drop move" true
+    ((stats (Spec_stack.spec ~oid:s_oid ()) lost).drop_sets_tried >= 1)
 
 (* property: generated histories of legal traces are always CAL *)
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100000)
