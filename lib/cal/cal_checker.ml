@@ -1,8 +1,14 @@
 type stats = { states_explored : int; memo_hits : int; drop_sets_tried : int }
 
 type verdict =
-  | Accepted of { trace : Ca_trace.t; completion : History.t; stats : stats }
+  | Accepted of {
+      trace : Ca_trace.t;
+      completion : History.t;
+      final : Spec.acceptor;
+      stats : stats;
+    }
   | Rejected of { reason : string; stats : stats }
+
 
 (* Non-empty sublists of [xs] with at most [k] elements, each sublist in the
    original order. The enumeration order is part of the checker's contract
@@ -35,22 +41,66 @@ let rec ret_assignments = function
 
 let universe_of_entries entries =
   let values =
-    List.concat_map
-      (fun (e : History.entry) ->
+    Array.fold_right
+      (fun (e : History.entry) acc ->
         Value.subvalues e.arg
-        @ (match e.ret with None -> [] | Some r -> Value.subvalues r))
-      entries
+        @ (match e.ret with None -> [] | Some r -> Value.subvalues r)
+        @ acc)
+      entries []
   in
   List.sort_uniq Value.compare values
 
+(* The failed-state table: (decided mask, specification key) pairs,
+   compared without the polymorphic equality of a generic [Hashtbl]. *)
+module Failed = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal ((d, k) : t) ((d', k') : t) = Int.equal d d' && String.equal k k'
+  let hash ((d, k) : t) = Hashtbl.hash k lxor (d * 0x9E3779B1)
+end)
+
+(* Intern each entry's (object, era) pair to a small int, in order of first
+   appearance. *)
+let group_ids (entries : History.entry array) =
+  let seen = ref [] in
+  Array.map
+    (fun (e : History.entry) ->
+      let rec find = function
+        | [] ->
+            let g = List.length !seen in
+            seen := (e.oid, e.era, g) :: !seen;
+            g
+        | (o, era, g) :: rest ->
+            if era = e.era && Ids.Oid.equal o e.oid then g else find rest
+      in
+      find !seen)
+    entries
+
+(* [take g groups] is the members of group [g] in [groups] (empty when
+   absent) and [groups] without it, the others in their order. *)
+let rec take g = function
+  | [] -> ([], [])
+  | ((g', members) as x) :: rest ->
+      if Int.equal g g' then (members, rest)
+      else
+        let members, rest = take g rest in
+        (members, x :: rest)
+
 let check ?crashed ~spec h =
-  (match History.validate h with
-  | Ok () -> ()
-  | Error reason -> invalid_arg ("Cal_checker.check: " ^ reason));
-  let entries = Array.of_list (History.entries h) in
+  let entries =
+    match History.scan h with
+    | Ok es -> es
+    | Error reason -> invalid_arg ("Cal_checker.check: " ^ reason)
+  in
   let n = Array.length entries in
   if n > 62 then invalid_arg "Cal_checker.check: more than 62 operations";
-  let universe = universe_of_entries (Array.to_list entries) in
+  (* The compiled history: everything the search reads, built once per
+     call. The universe is only needed to complete a pending operation. *)
+  let op = Array.map History.op_of_entry entries in
+  let pending = Array.map History.pending_of_entry entries in
+  let group = group_ids entries in
+  let universe = lazy (universe_of_entries entries) in
+  let crashes = History.crash_count h in
   (* Crash-tolerant mode: only the pending operations of crashed threads
      may be dropped; a live thread's pending operation must be completed.
      Without [crashed] every pending operation is droppable (the classic
@@ -59,10 +109,9 @@ let check ?crashed ~spec h =
      one) either persisted — it is kept and must be explainable strictly
      before every later-era operation ({!History.precedes}) — or was lost,
      so it is always droppable. *)
-  let last_era = History.eras h - 1 in
   let droppable (e : History.entry) =
     e.ret = None
-    && (e.era < last_era
+    && (e.era < crashes
        ||
        match crashed with
        | None -> true
@@ -97,14 +146,14 @@ let check ?crashed ~spec h =
      an operation is available once all its predecessors are decided, so
      a dropped operation releases its real-time successors. The future of
      a state depends only on [decided] and the acceptor, hence the memo
-     key. The search returns the trace, the dropped mask and the chosen
-     returns of kept pending operations. *)
-  let failed = Hashtbl.create (Tuning.checker_table_size ~ops:n) in
+     key. The search returns the trace, its final acceptor, the dropped
+     mask and the chosen returns of kept pending operations. *)
+  let failed = Failed.create (Tuning.checker_table_size ~ops:n) in
   let rec dfs decided dropped acc acc_trace rets =
-    if decided = full then Some (List.rev acc_trace, dropped, rets)
+    if decided = full then Some (List.rev acc_trace, acc, dropped, rets)
     else begin
       let memo_key = (decided, Spec.key acc) in
-      if Hashtbl.mem failed memo_key then begin
+      if Failed.mem failed memo_key then begin
         incr memo_hits;
         None
       end
@@ -120,34 +169,29 @@ let check ?crashed ~spec h =
            crash marker. The era-aware [precedes] already forces [avail]
            to be era-uniform (a later-era operation waits for every
            earlier-era one), but the key makes the invariant structural
-           rather than a consequence of the search order. *)
-        let by_oid =
+           rather than a consequence of the search order. The group of
+           the latest available operation comes first, members
+           newest-first. *)
+        let by_group =
           List.fold_left
             (fun groups i ->
-              let key = (entries.(i).History.oid, entries.(i).History.era) in
-              let cur = try List.assoc key groups with Not_found -> [] in
-              (key, i :: cur) :: List.remove_assoc key groups)
+              let g = group.(i) in
+              let cur, rest = take g groups in
+              (g, i :: cur) :: rest)
             [] avail
         in
         let try_subset subset =
-          let fixed, pend =
-            List.partition (fun i -> entries.(i).History.ret <> None) subset
-          in
-          let fixed_ops =
-            List.map (fun i -> Option.get (History.op_of_entry entries.(i))) fixed
-          in
+          let fixed, pend = List.partition (fun i -> Option.is_some op.(i)) subset in
+          let fixed_ops = List.map (fun i -> Option.get op.(i)) fixed in
           let cand_lists =
             List.map
               (fun i ->
-                Spec.candidates acc ~universe (History.pending_of_entry entries.(i)))
+                Spec.candidates acc ~universe:(Lazy.force universe) pending.(i))
               pend
           in
           let try_assignment pend_rets =
             let pend_ops =
-              List.map2
-                (fun i ret ->
-                  Op.of_pending (History.pending_of_entry entries.(i)) ~ret)
-                pend pend_rets
+              List.map2 (fun i ret -> Op.of_pending pending.(i) ~ret) pend pend_rets
             in
             let oid = entries.(List.hd subset).History.oid in
             let elem = Ca_trace.element oid (fixed_ops @ pend_ops) in
@@ -176,21 +220,21 @@ let check ?crashed ~spec h =
         let result =
           match
             List.find_map
-              (fun (_, group) ->
+              (fun (_, members) ->
                 List.find_map try_subset
-                  (subsets_up_to spec.Spec.max_element_size group))
-              by_oid
+                  (subsets_up_to spec.Spec.max_element_size members))
+              by_group
           with
           | Some _ as r -> r
           | None -> List.find_map drop avail
         in
-        if result = None then Hashtbl.replace failed memo_key ();
+        if result = None then Failed.replace failed memo_key ();
         result
       end
     end
   in
   match dfs 0 0 spec.Spec.start [] [] with
-  | Some (trace, dropped, rets) ->
+  | Some (trace, final, dropped, rets) ->
       (* Rebuild the completion: remove dropped invocations, append the
          chosen responses for kept pending operations. *)
       let dropped_inv =
@@ -217,6 +261,7 @@ let check ?crashed ~spec h =
         {
           trace;
           completion = History.with_responses kept_actions appended;
+          final;
           stats = stats ();
         }
   | None ->
@@ -224,8 +269,7 @@ let check ?crashed ~spec h =
         {
           reason =
             Fmt.str "no %scompletion of the history is explained by any %s trace"
-              (if crashed = None && History.crash_count h = 0 then ""
-               else "crash-consistent ")
+              (if crashed = None && crashes = 0 then "" else "crash-consistent ")
               spec.Spec.name;
           stats = stats ();
         }

@@ -22,6 +22,16 @@
     Failed states are memoised on (decided set, specification state) in
     one table per call.
 
+    {b Compiled history.} Each call scans [h] once ({!History.scan}) and
+    compiles what the search reads into per-call arrays: every entry's
+    {!Op.t} and {!Op.pending}, the predecessor bitmasks, the droppable
+    mask, and each entry's (object, era) group interned to an int. The
+    value universe that {!Spec.candidates} draws returns from is built on
+    the first call that completes a pending operation, and the
+    failed-state table is keyed on (decided mask, {!Spec.key}) without
+    polymorphic comparison. After that the search touches neither the
+    history nor its entries' identifiers.
+
     {b Witness order.} From every state the search tries all place moves
     before any drop move. Place moves go through the available operations'
     (object, era) groups, then {!subsets_up_to} within a group, then the
@@ -44,6 +54,9 @@ type verdict =
   | Accepted of {
       trace : Ca_trace.t;      (** the explaining CA-trace [T] *)
       completion : History.t;  (** the completion [Hᶜ] with [Hᶜ ⊑CAL T] *)
+      final : Spec.acceptor;
+          (** the specification state after [trace]: [spec.start] stepped
+              through every element of [trace] *)
       stats : stats;
     }
   | Rejected of { reason : string; stats : stats }

@@ -51,64 +51,73 @@ let of_ops ops =
 (* Scan the history, pairing every response with the unique pending
    invocation of its thread. A crash marker cuts off every open invocation
    (the wiped threads never respond, so those calls stay pending) and opens
-   the next era. Returns the entries in invocation order, or an error
-   describing the first well-formedness violation. *)
-let scan (h : t) : (entry list, string) result =
+   the next era. One linear pass records, per invocation in invocation
+   order, its position, its era and the position of its response; the
+   entries are then built once from those arrays. Returns the entries in
+   invocation order, or an error describing the first well-formedness
+   violation. *)
+let scan (h : t) : (entry array, string) result =
   let exception Bad of string in
+  let n = Array.length h in
   let open_inv : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let acc = ref [] in
+  (* [inv_at.(k)], [era_at.(k)], [res_at.(k)]: the k-th invocation's
+     position, era and response position ([-1] while pending) *)
+  let inv_at = Array.make n 0 in
+  let era_at = Array.make n 0 in
+  let res_at = Array.make n (-1) in
+  let count = ref 0 in
   let era = ref 0 in
   try
-    Array.iteri
-      (fun i a ->
-        match a with
-        | Action.Crash { epoch } ->
-            if epoch <> !era + 1 then
-              raise
-                (Bad
-                   (Fmt.str "action %d: crash marker #%d out of order (expected #%d)"
-                      i epoch (!era + 1)));
-            Hashtbl.reset open_inv;
-            era := epoch
-        | Action.Inv { tid = t; oid; fid; arg } ->
-            let tid = Tid.to_int t in
-            if Hashtbl.mem open_inv tid then
-              raise (Bad (Fmt.str "action %d: thread %a invokes while pending" i Tid.pp t));
-            Hashtbl.replace open_inv tid i;
-            acc :=
-              {
-                id = i;
-                tid = t;
-                oid;
-                fid;
-                arg;
-                ret = None;
-                inv_index = i;
-                res_index = None;
-                era = !era;
-              }
-              :: !acc
-        | Action.Res { tid = t; oid; fid; ret } -> (
-            let tid = Tid.to_int t in
-            match Hashtbl.find_opt open_inv tid with
-            | None ->
-                raise (Bad (Fmt.str "action %d: thread %a responds with no pending invocation" i Tid.pp t))
-            | Some j ->
-                let matching =
-                  match h.(j) with
-                  | Action.Inv { oid = o'; fid = f'; _ } -> Oid.equal o' oid && Fid.equal f' fid
-                  | Action.Res _ | Action.Crash _ -> false
-                in
-                if not matching then
-                  raise (Bad (Fmt.str "action %d: response does not match invocation at %d" i j));
-                Hashtbl.remove open_inv tid;
-                acc :=
-                  List.map
-                    (fun e ->
-                      if e.id = j then { e with ret = Some ret; res_index = Some i } else e)
-                    !acc))
-      h;
-    Ok (List.rev !acc)
+    for i = 0 to n - 1 do
+      match h.(i) with
+      | Action.Crash { epoch } ->
+          if epoch <> !era + 1 then
+            raise
+              (Bad
+                 (Fmt.str "action %d: crash marker #%d out of order (expected #%d)"
+                    i epoch (!era + 1)));
+          Hashtbl.reset open_inv;
+          era := epoch
+      | Action.Inv { tid = t; _ } ->
+          let tid = Tid.to_int t in
+          if Hashtbl.mem open_inv tid then
+            raise (Bad (Fmt.str "action %d: thread %a invokes while pending" i Tid.pp t));
+          Hashtbl.replace open_inv tid !count;
+          inv_at.(!count) <- i;
+          era_at.(!count) <- !era;
+          incr count
+      | Action.Res { tid = t; oid; fid; _ } -> (
+          let tid = Tid.to_int t in
+          match Hashtbl.find_opt open_inv tid with
+          | None ->
+              raise (Bad (Fmt.str "action %d: thread %a responds with no pending invocation" i Tid.pp t))
+          | Some k ->
+              let j = inv_at.(k) in
+              let matching =
+                match h.(j) with
+                | Action.Inv { oid = o'; fid = f'; _ } -> Oid.equal o' oid && Fid.equal f' fid
+                | Action.Res _ | Action.Crash _ -> false
+              in
+              if not matching then
+                raise (Bad (Fmt.str "action %d: response does not match invocation at %d" i j));
+              Hashtbl.remove open_inv tid;
+              res_at.(k) <- i)
+    done;
+    Ok
+      (Array.init !count (fun k ->
+           let i = inv_at.(k) in
+           let r = res_at.(k) in
+           match h.(i) with
+           | Action.Inv { tid; oid; fid; arg } ->
+               let ret, res_index =
+                 if r < 0 then (None, None)
+                 else
+                   match h.(r) with
+                   | Action.Res { ret; _ } -> (Some ret, Some r)
+                   | Action.Inv _ | Action.Crash _ -> assert false
+               in
+               { id = i; tid; oid; fid; arg; ret; inv_index = i; res_index; era = era_at.(k) }
+           | Action.Res _ | Action.Crash _ -> assert false))
   with Bad reason -> Error reason
 
 let validate h = Result.map (fun _ -> ()) (scan h)
@@ -116,7 +125,7 @@ let is_well_formed h = Result.is_ok (scan h)
 
 let entries h =
   match scan h with
-  | Ok es -> es
+  | Ok es -> Array.to_list es
   | Error reason -> invalid_arg ("History.entries: " ^ reason)
 
 let pending h = List.filter (fun e -> e.res_index = None) (entries h)
@@ -143,10 +152,8 @@ let is_sequential h =
     h;
   !ok
 
-let is_complete h =
-  match scan h with
-  | Error _ -> false
-  | Ok es -> List.for_all (fun e -> e.res_index <> None) es
+let all_returned es = Array.for_all (fun e -> e.res_index <> None) es
+let is_complete h = match scan h with Error _ -> false | Ok es -> all_returned es
 
 (* Projections keep the crash markers: a crash is visible to every thread
    and every object (it is a whole-system event). *)

@@ -55,6 +55,14 @@ val of_ops : Op.t list -> t
 
 (** {1 Classification} *)
 
+val scan : t -> (entry array, string) result
+(** [scan h] is [Ok es], the operation instances of [h] in invocation
+    order, when [h] is well-formed, and [Error reason] naming the first
+    well-formedness violation otherwise. It is one linear pass over [h];
+    {!validate}, {!entries} and {!is_complete} are views of it (the last
+    through {!all_returned}), so a caller that needs both the verdict and
+    the entries should scan once. *)
+
 val validate : t -> (unit, string) result
 (** [validate h] is [Ok ()] when [h] is well-formed, and [Error reason]
     otherwise. *)
@@ -67,6 +75,11 @@ val is_sequential : t -> bool
     invocation (if any) and restarts the alternation. *)
 
 val is_complete : t -> bool
+
+val all_returned : entry array -> bool
+(** [all_returned es] holds when every entry of [es] has a response:
+    [is_complete h] is [all_returned] of {!scan}'s entries for a
+    well-formed [h]. *)
 
 val crash_count : t -> int
 (** Number of {!Action.Crash} markers in the history. *)

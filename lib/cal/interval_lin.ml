@@ -28,12 +28,13 @@ type verdict =
 let all_subsets xs = Cal_checker.subsets_up_to (List.length xs) xs @ [ [] ]
 
 let check ~spec h =
-  (match History.validate h with
-  | Ok () -> ()
-  | Error reason -> invalid_arg ("Interval_lin.check: " ^ reason));
-  if not (History.is_complete h) then
+  let entries =
+    match History.scan h with
+    | Ok es -> es
+    | Error reason -> invalid_arg ("Interval_lin.check: " ^ reason)
+  in
+  if not (History.all_returned entries) then
     invalid_arg "Interval_lin.check: history must be complete";
-  let entries = Array.of_list (History.entries h) in
   let n = Array.length entries in
   if n > 24 then invalid_arg "Interval_lin.check: more than 24 operations";
   let op_of = Array.map (fun e -> Option.get (History.op_of_entry e)) entries in

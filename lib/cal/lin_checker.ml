@@ -1,14 +1,24 @@
 type stats = Cal_checker.stats
 
 type verdict =
-  | Linearizable of { linearization : Op.t list; completion : History.t; stats : stats }
+  | Linearizable of {
+      linearization : Op.t list;
+      completion : History.t;
+      final : Spec.acceptor;
+      stats : stats;
+    }
   | Not_linearizable of { reason : string; stats : stats }
 
 let check ?crashed ~spec h =
   match Cal_checker.check ?crashed ~spec:{ spec with Spec.max_element_size = 1 } h with
-  | Cal_checker.Accepted { trace; completion; stats } ->
+  | Cal_checker.Accepted { trace; completion; final; stats } ->
       Linearizable
-        { linearization = List.concat_map Ca_trace.element_ops trace; completion; stats }
+        {
+          linearization = List.concat_map Ca_trace.element_ops trace;
+          completion;
+          final;
+          stats;
+        }
   | Cal_checker.Rejected { stats; _ } ->
       Not_linearizable
         {

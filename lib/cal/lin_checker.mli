@@ -17,6 +17,8 @@ type verdict =
   | Linearizable of {
       linearization : Op.t list;  (** the sequential witness, in order *)
       completion : History.t;
+      final : Spec.acceptor;
+          (** the specification state after [linearization] *)
       stats : stats;
     }
   | Not_linearizable of { reason : string; stats : stats }

@@ -7,15 +7,40 @@ type t =
   | List of t list
 [@@deriving eq, ord]
 
-let rec pp ppf = function
-  | Unit -> Fmt.string ppf "()"
-  | Bool b -> Fmt.bool ppf b
-  | Int n -> Fmt.int ppf n
-  | Str s -> Fmt.pf ppf "%S" s
-  | Pair (a, b) -> Fmt.pf ppf "(%a, %a)" pp a pp b
-  | List vs -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") pp) vs
+(* One printer, on a plain [Buffer]: specification keys are [show]s built
+   once per search state, and a Format round trip per key cost more than
+   the step that made the state. [pp] prints the same bytes; it has no
+   break hints, so an enclosing box does not change them. *)
+let rec add_value buf = function
+  | Unit -> Buffer.add_string buf "()"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Str s ->
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (String.escaped s);
+      Buffer.add_char buf '"'
+  | Pair (a, b) ->
+      Buffer.add_char buf '(';
+      add_value buf a;
+      Buffer.add_string buf ", ";
+      add_value buf b;
+      Buffer.add_char buf ')'
+  | List vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf "; ";
+          add_value buf v)
+        vs;
+      Buffer.add_char buf ']'
 
-let show v = Fmt.str "%a" pp v
+let show v =
+  let buf = Buffer.create 32 in
+  add_value buf v;
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (show v)
+
 let unit = Unit
 let bool b = Bool b
 let int n = Int n

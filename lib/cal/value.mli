@@ -16,8 +16,16 @@ type t =
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val show : t -> string
+(** [show v] prints [v] with a plain [Buffer], without Format: [()],
+    [true], [-3], ["a\"b"] ([String.escaped] in quotes), [(a, b)],
+    [[a; b]]. Specification keys ({!Spec.key}) are [show]s of the
+    specification state, and {!Spec.resume} parses them back out of daemon
+    snapshots. *)
+
+val pp : Format.formatter -> t -> unit
+(** [pp] writes [show v]: the two are byte-identical by construction, so
+    keys and snapshots read the same whichever printer made them. *)
 
 (** {1 Convenience constructors} *)
 

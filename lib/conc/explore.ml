@@ -510,17 +510,6 @@ let exhaustive_with_faults_collect ?delay_factors ?(domains = 1) ~setup ~fuel
   in
   (1 + Array.length plans, merged, accs)
 
-let exhaustive_with_faults ?delay_factors ?domains ~setup ~fuel ?max_runs
-    ?preemption_bound ?max_plans ~fault_bound ~f () =
-  let plans, stats, _ =
-    exhaustive_with_faults_collect ?delay_factors ?domains ~setup ~fuel
-      ?max_runs ?preemption_bound ?max_plans ~fault_bound
-      ~init:(fun () -> ())
-      ~f:(fun () o -> f o)
-      ()
-  in
-  (plans, stats)
-
 (* ------------------------------------------------- crash exploration -- *)
 
 (* Crash points of a durable program are enumerated against the observed
@@ -532,7 +521,7 @@ let exhaustive_with_faults ?delay_factors ?domains ~setup ~fuel ?max_runs
    is lazy and smallest-first: earlier crash points run before later ones,
    depth-1 plans before their depth-2 (crash-during-recovery) children, so
    a [max_plans] budget keeps a prefix of the cheapest plans. Per-thread
-   fault plans (learned exactly as in [exhaustive_with_faults]) are crossed
+   fault plans (learned exactly as in [exhaustive_with_faults_collect]) are crossed
    with the crash points when [fault_bound > 0].
 
    Deliberately sequential (no [domains] knob): each plan's crash-point
@@ -725,7 +714,7 @@ let merge_liveness a b =
 
 (* The watchdog over the fault sweep: classify every run of every plan of
    at most [fault_bound] faults (the plan enumeration of
-   [exhaustive_with_faults]; just the fault-free plan at [0]). The
+   [exhaustive_with_faults_collect]; just the fault-free plan at [0]). The
    fault-free classification pass doubles as the candidate learner, so the
    fault-free state space is executed once. Crashed and stalled threads are
    never enabled, so their non-termination classifies as deadlock, not

@@ -261,7 +261,7 @@ val races_of :
 
 (** {1 Fault exploration} *)
 
-val exhaustive_with_faults :
+val exhaustive_with_faults_collect :
   ?delay_factors:int list ->
   ?domains:int ->
   setup:(Ctx.t -> Runner.program) ->
@@ -270,9 +270,10 @@ val exhaustive_with_faults :
   ?preemption_bound:int ->
   ?max_plans:int ->
   fault_bound:int ->
-  f:(Runner.outcome -> unit) ->
+  init:(unit -> 'acc) ->
+  f:('acc -> Runner.outcome -> unit) ->
   unit ->
-  int * stats
+  int * stats * 'acc array
 (** The fault analog of CHESS-style context bounding: systematically
     enumerate fault plans of at most [fault_bound] faults and explore every
     schedule under each.
@@ -285,9 +286,12 @@ val exhaustive_with_faults :
     {!Fault.Fail_step}. Then every plan combining at most [fault_bound] of
     these points is explored exhaustively; [f] receives each outcome,
     which carries its plan in [outcome.faults] and the faults that
-    actually fired in [outcome.injected]. Returns the number of plans
-    explored (the empty plan included) and the stats merged over every
-    plan.
+    actually fired in [outcome.injected], together with the accumulator
+    of its exploration unit: one [init ()] per subtree task of the
+    fault-free pass followed by one per fault plan, returned in canonical
+    order (see {!exhaustive_collect}). Returns the number of plans
+    explored (the empty plan included), the stats merged over every plan
+    and the accumulators.
 
     Plans are enumerated lazily, smallest first; [max_plans] caps the
     enumeration before the exponential subset space is ever materialised
@@ -309,26 +313,9 @@ val exhaustive_with_faults :
     per-task candidate learners bump-merge into the sequential learner
     exactly, so the proposed plan set is identical. When [max_runs] is
     set, the fault-free pass stays sequential: a racy shared budget could
-    truncate a different run subset and learn different candidates. [f]
-    must be thread-safe when [domains >= 2] — or use
-    {!exhaustive_with_faults_collect}. *)
-
-val exhaustive_with_faults_collect :
-  ?delay_factors:int list ->
-  ?domains:int ->
-  setup:(Ctx.t -> Runner.program) ->
-  fuel:int ->
-  ?max_runs:int ->
-  ?preemption_bound:int ->
-  ?max_plans:int ->
-  fault_bound:int ->
-  init:(unit -> 'acc) ->
-  f:('acc -> Runner.outcome -> unit) ->
-  unit ->
-  int * stats * 'acc array
-(** {!exhaustive_with_faults} with per-exploration-unit accumulators: one
-    per subtree task of the fault-free pass followed by one per fault
-    plan, in canonical order (see {!exhaustive_collect}). *)
+    truncate a different run subset and learn different candidates. Each
+    accumulator is touched by one worker at a time, so [f] needs no
+    locking when it only updates its accumulator. *)
 
 val exhaustive_durable :
   plan:Fault.plan ->
@@ -357,7 +344,7 @@ val exhaustive_with_crashes :
   f:(Runner.outcome -> unit) ->
   unit ->
   int * stats
-(** The crash analog of {!exhaustive_with_faults} for durable programs:
+(** The crash analog of {!exhaustive_with_faults_collect} for durable programs:
     enumerate {!Fault.Crash_system} plans and explore every schedule of
     the durable program under each.
 
@@ -374,12 +361,12 @@ val exhaustive_with_crashes :
 
     [fault_bound] (default [0]) additionally crosses per-thread fault
     plans — learned from the crash-free pass exactly as in
-    {!exhaustive_with_faults}, including [delay_factors] candidates — with
-    the crash-point sweep, so a thread crash or forced CAS failure can be
-    combined with a system crash.
+    {!exhaustive_with_faults_collect}, including [delay_factors]
+    candidates — with the crash-point sweep, so a thread crash or forced
+    CAS failure can be combined with a system crash.
 
-    Returns (plans explored, merged stats), like
-    {!exhaustive_with_faults}. Deliberately sequential (no [domains]): each plan's crash-point horizon depends on
+    Returns (plans explored, merged stats), the first two results of
+    {!exhaustive_with_faults_collect}. Deliberately sequential (no [domains]): each plan's crash-point horizon depends on
     the runs its parent plan delivered, so the plan enumeration is a
     data-dependent sequential sweep (DESIGN §2.11). Outcomes delivered to
     [f] carry their plan in [outcome.faults], the crashes that actually
@@ -460,7 +447,7 @@ val liveness :
     run with the watchdog, threading the idle counters down each path as
     the DFS's per-path state (one pass, no per-prefix replays), under
     every plan of the fault sweep: the plan enumeration of
-    {!exhaustive_with_faults} for plans of at most [fault_bound] (default
+    {!exhaustive_with_faults_collect} for plans of at most [fault_bound] (default
     [0]: the fault-free plan only) faults, including [delay_factors]
     candidates, capped by [max_plans] (recorded as truncation). The
     fault-free classification pass doubles as the candidate learner, so

@@ -54,7 +54,7 @@ type outcome = {
   fallible_steps : string list;
       (** labels of the {!Prog.Fallible} steps executed, in order — the
           forcible fault points of this run (used by
-          {!Explore.exhaustive_with_faults} to enumerate CAS failures) *)
+          {!Explore.exhaustive_with_faults_collect} to enumerate CAS failures) *)
   epochs : int;
       (** eras the run went through: [1 +] the number of system crashes
           that fired *)

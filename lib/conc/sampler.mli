@@ -76,7 +76,7 @@ val run :
     take how many steps, which fallible labels execute how often, how deep
     a run goes. {!probe} learns that shape from a few random-walk runs —
     the sampling analogue of the candidate learner inside
-    {!Explore.exhaustive_with_faults}. *)
+    {!Explore.exhaustive_with_faults_collect}. *)
 
 type plan_space = {
   ps_threads : int;              (** boot-program thread count *)

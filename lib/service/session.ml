@@ -145,14 +145,7 @@ let check_sequential t =
 
 let check_exhaustive t =
   match Cal_checker.check ~spec:(resumed_spec t) (window_history t) with
-  | Cal_checker.Accepted { trace; _ } ->
-      let acc =
-        List.fold_left
-          (fun acc el ->
-            match Spec.step acc el with Some a -> a | None -> acc)
-          t.committed trace
-      in
-      Commit acc
+  | Cal_checker.Accepted { final; _ } -> Commit final
   | Cal_checker.Rejected { reason; _ } -> Violate reason
 
 (* Verdict-only check for the overflow path (no acceptor to resume, so

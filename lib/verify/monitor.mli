@@ -42,7 +42,7 @@ val wrap :
     exploration engines re-run setup on every backtrack replay, so query
     the status from inside the per-outcome callback — it then refers to
     the run that produced the outcome. This is how the monitor rides
-    {!Conc.Explore.exhaustive_with_faults}. *)
+    {!Conc.Explore.exhaustive_with_faults_collect}. *)
 
 val wrap_durable :
   spec:Cal.Spec.t ->

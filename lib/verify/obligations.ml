@@ -109,14 +109,13 @@ let remove_one op ops =
   go [] ops
 
 let reconcile h trace =
-  match History.validate h with
+  match History.scan h with
   | Error reason -> Error ("ill-formed history: " ^ reason)
-  | Ok () ->
-      let entries = History.entries h in
+  | Ok entries ->
       let trace_ops = ref (Ca_trace.ops trace) in
       let errors = ref [] in
       (* account every completed operation *)
-      List.iter
+      Array.iter
         (fun (e : History.entry) ->
           match History.op_of_entry e with
           | None -> ()
@@ -131,7 +130,7 @@ let reconcile h trace =
       (* pending operations: adopt the trace's commitment or drop *)
       let dropped = ref [] in
       let appended = ref [] in
-      List.iter
+      Array.iter
         (fun (e : History.entry) ->
           if e.ret = None then begin
             let matches (o : Op.t) =

@@ -162,7 +162,7 @@ val check : config -> report
 (** Check the obligation on every run the search delivers, under every
     plan of the fault space. Served:
     - exhaustively: a plain program's [Trace] obligation (with a
-      [fault_bound], over {!Conc.Explore.exhaustive_with_faults}: a
+      [fault_bound], over {!Conc.Explore.exhaustive_with_faults_collect}: a
       crashed operation stays pending forever, so reconciliation demands
       that it either took effect or vanished), its fault-free [`Cal]
       [History] obligation, its [Liveness] obligation, and a durable

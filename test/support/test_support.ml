@@ -7,6 +7,10 @@ open Cal
    of test_cal_oracle. *)
 module Cal_oracle = Cal_oracle
 
+(* The history scan History.scan replaced, kept as the reference of the
+   scan differential test. *)
+module Scan_oracle = Scan_oracle
+
 let tid = Ids.Tid.of_int
 let oid = Ids.Oid.v
 let fid = Ids.Fid.v

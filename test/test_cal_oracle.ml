@@ -165,9 +165,11 @@ let test_fault_sweeps () =
   List.iter
     (fun (s : S.t) ->
       ignore
-        (E.exhaustive_with_faults ~setup:s.setup ~fuel:s.fuel ~max_runs:60
-           ~max_plans:25 ?preemption_bound:s.bound ~fault_bound:1
-           ~f:(fun o -> compare_one c ?crashed:(crashed_of o) ~spec:s.spec o.history)
+        (E.exhaustive_with_faults_collect ~setup:s.setup ~fuel:s.fuel
+           ~max_runs:60 ~max_plans:25 ?preemption_bound:s.bound ~fault_bound:1
+           ~init:ignore
+           ~f:(fun () o ->
+             compare_one c ?crashed:(crashed_of o) ~spec:s.spec o.history)
            ()))
     (S.all ());
   expect_some "crashed" c.crashed;

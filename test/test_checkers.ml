@@ -212,6 +212,70 @@ let prop_counter_cal_iff_lin seed =
   let h = Workloads.Gen.history_of_trace g tr in
   Cal_checker.is_cal ~spec h = Lin_checker.is_linearizable ~spec h
 
+(* [final] is the specification state after the witness: what
+   Session.check_exhaustive commits instead of stepping the trace again. *)
+let test_final_acceptor () =
+  let spec = Spec_stack.spec ~oid:s_oid () in
+  let stepped trace =
+    List.fold_left (fun acc el -> Option.get (Spec.step acc el)) spec.Spec.start trace
+  in
+  let accepted = ref 0 in
+  for seed = 0 to 99 do
+    let g = Workloads.Gen.create ~seed:(Int64.of_int seed) in
+    let h =
+      Workloads.Gen.history_of_trace g
+        (Workloads.Gen.stack_trace g ~oid:s_oid ~threads:3 ~elements:5)
+    in
+    let actions = History.to_list h in
+    let cut = Workloads.Gen.int g (List.length actions + 1) in
+    let h = History.of_list (List.filteri (fun i _ -> i < cut) actions) in
+    (match Cal_checker.check ~spec h with
+    | Cal_checker.Accepted { trace; final; _ } ->
+        incr accepted;
+        Alcotest.(check string) "CAL final" (Spec.key (stepped trace)) (Spec.key final)
+    | Cal_checker.Rejected _ -> ());
+    match Lin_checker.check ~spec h with
+    | Lin_checker.Linearizable { linearization; final; _ } ->
+        let trace = List.map (fun (o : Op.t) -> Ca_trace.element o.oid [ o ]) linearization in
+        Alcotest.(check string) "lin final" (Spec.key (stepped trace)) (Spec.key final)
+    | Lin_checker.Not_linearizable _ -> ()
+  done;
+  check_bool "accepted histories checked" true (!accepted > 50)
+
+(* The search's own counts, summed over every history of the
+   faulty-elim-stack-1p4c scenario at its own fuel and bound. The search
+   order decides every one of them, so a speed-up that changes which
+   states the search visits fails here rather than only in a benchmark. *)
+let test_search_counts_pinned () =
+  let s = Workloads.Scenarios.faulty_elim_stack ~pushers:1 ~poppers:4 () in
+  let runs = ref 0 and accepted = ref 0 in
+  let states = ref 0 and memo = ref 0 and drops = ref 0 in
+  let add (st : Cal_checker.stats) =
+    states := !states + st.states_explored;
+    memo := !memo + st.memo_hits;
+    drops := !drops + st.drop_sets_tried
+  in
+  ignore
+    (Conc.Explore.exhaustive_collect ~domains:1 ~setup:s.setup ~fuel:s.fuel
+       ?preemption_bound:s.bound ~init:ignore
+       ~f:(fun () (o : Conc.Runner.outcome) ->
+         incr runs;
+         match Cal_checker.check ~spec:s.spec o.history with
+         | Cal_checker.Accepted { stats; _ } ->
+             incr accepted;
+             add stats
+         | Cal_checker.Rejected { stats; _ } -> add stats)
+       ());
+  Alcotest.(check (list int))
+    "fuel, bound"
+    [ 14; 2 ]
+    [ s.fuel; Option.get s.bound ];
+  Alcotest.(check int) "runs" 17_072 !runs;
+  Alcotest.(check int) "accepted" 10_868 !accepted;
+  Alcotest.(check int) "states_explored" 68_832 !states;
+  Alcotest.(check int) "memo_hits" 9_432 !memo;
+  Alcotest.(check int) "drop_sets_tried" 9_528 !drops
+
 let () =
   Alcotest.run "checkers"
     [
@@ -244,7 +308,12 @@ let () =
           t "pair classes" test_set_lin;
           t "multi-object rejected" test_set_lin_multi_object_rejected;
         ] );
-      ("stats", [ t "populated" test_stats_populated ]);
+      ( "stats",
+        [
+          t "populated" test_stats_populated;
+          t "final acceptor is the witness's" test_final_acceptor;
+          t "search counts pinned on faulty-elim-stack-1p4c" test_search_counts_pinned;
+        ] );
       ( "properties",
         [
           qtest ~count:100 "generated histories are CAL" arb_seed prop_generated_cal;

@@ -158,9 +158,9 @@ let test_single_fault_free_pass () =
   let s0 = !starts in
   check_bool "some executions" true (s0 > 0 && plain.Explore.runs > 0);
   starts := 0;
-  let plans, fs =
-    Explore.exhaustive_with_faults ~setup ~fuel:10 ~max_plans:1 ~fault_bound:1
-      ~f:ignore ()
+  let plans, fs, _ =
+    Explore.exhaustive_with_faults_collect ~setup ~fuel:10 ~max_plans:1
+      ~fault_bound:1 ~init:ignore ~f:(fun () _ -> ()) ()
   in
   Alcotest.(check int) "only the empty plan fits the cap" 1 plans;
   check_bool "cap recorded as truncation" true fs.Explore.truncated;
@@ -176,23 +176,24 @@ let test_lazy_plan_enumeration () =
     { Runner.threads = Array.init 2 mk; observe = None; on_label = None }
   in
   let plan_order = ref [] in
-  let f (o : Runner.outcome) =
+  let f () (o : Runner.outcome) =
     if not (List.mem o.Runner.faults !plan_order) then
       plan_order := o.Runner.faults :: !plan_order
   in
   (* two 1-step threads: candidates crash(0,1) and crash(1,1); plans are
      [] ; the two singletons ; the pair *)
-  let plans, fs =
-    Explore.exhaustive_with_faults ~setup ~fuel:10 ~fault_bound:2 ~f ()
+  let plans, fs, _ =
+    Explore.exhaustive_with_faults_collect ~setup ~fuel:10 ~fault_bound:2
+      ~init:ignore ~f ()
   in
   Alcotest.(check int) "full enumeration" 4 plans;
   check_bool "not truncated" false fs.Explore.truncated;
   let sizes = List.rev_map List.length !plan_order in
   Alcotest.(check (list int)) "smallest plans first" [ 0; 1; 1; 2 ] sizes;
   plan_order := [];
-  let plans, fs =
-    Explore.exhaustive_with_faults ~setup ~fuel:10 ~max_plans:3 ~fault_bound:2
-      ~f ()
+  let plans, fs, _ =
+    Explore.exhaustive_with_faults_collect ~setup ~fuel:10 ~max_plans:3
+      ~fault_bound:2 ~init:ignore ~f ()
   in
   Alcotest.(check int) "capped" 3 plans;
   check_bool "cap is truncation" true fs.Explore.truncated;
@@ -212,9 +213,9 @@ let test_lazy_plan_cap_scales () =
   in
   (* 18 crash candidates; subsets up to size 12 ≈ 2^18 — the lazy
      enumeration must stop after 10 plans without building them *)
-  let plans, fs =
-    Explore.exhaustive_with_faults ~setup ~fuel:4 ~max_runs:50 ~max_plans:10
-      ~fault_bound:12 ~f:ignore ()
+  let plans, fs, _ =
+    Explore.exhaustive_with_faults_collect ~setup ~fuel:4 ~max_runs:50
+      ~max_plans:10 ~fault_bound:12 ~init:ignore ~f:(fun () _ -> ()) ()
   in
   Alcotest.(check int) "capped at 10" 10 plans;
   check_bool "truncated" true fs.Explore.truncated

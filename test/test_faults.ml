@@ -302,9 +302,10 @@ let test_exhaustive_with_faults_exchanger () =
   let total = ref 0 in
   let faulty_runs = ref 0 in
   let sampled = ref [] in
-  let plans, stats =
-    Explore.exhaustive_with_faults ~setup:pair_setup ~fuel:60 ~fault_bound:1
-      ~f:(fun o ->
+  let plans, stats, _ =
+    Explore.exhaustive_with_faults_collect ~setup:pair_setup ~fuel:60
+      ~fault_bound:1 ~init:ignore
+      ~f:(fun () o ->
         incr total;
         if o.faults <> [] then begin
           incr faulty_runs;
@@ -465,10 +466,10 @@ let test_degraded_elim_stack_verifies () =
 let test_elim_stack_single_fault_sweep () =
   let s = Workloads.Scenarios.elim_stack_push_pop ~k:1 () in
   let checked = ref 0 in
-  let plans, _ =
-    Explore.exhaustive_with_faults ~setup:s.setup ~fuel:s.fuel ~fault_bound:1
-      ~preemption_bound:1 ~max_plans:12
-      ~f:(fun o ->
+  let plans, _, _ =
+    Explore.exhaustive_with_faults_collect ~setup:s.setup ~fuel:s.fuel
+      ~fault_bound:1 ~preemption_bound:1 ~max_plans:12 ~init:ignore
+      ~f:(fun () o ->
         incr checked;
         match Verify.Obligations.check_outcome ~spec:s.spec ~view:s.view o with
         | Ok () -> ()
@@ -477,7 +478,7 @@ let test_elim_stack_single_fault_sweep () =
   in
   check_bool "plans explored" true (plans > 1 && !checked > 0)
 
-(* Satellite check: the online monitor riding exhaustive_with_faults against
+(* Satellite check: the online monitor riding the fault sweep against
    the post-hoc black-box checker, run by run, on the lost-update counter.
    The monitor is white-box — its realised trace is one concrete witness —
    so monitor acceptance must imply checker acceptance on every run, and on
@@ -489,10 +490,10 @@ let test_monitor_agrees_with_checker_under_faults () =
   let s = Workloads.Scenarios.faulty_counter () in
   let wrapped, status = Verify.Monitor.wrap ~spec:s.spec ~view:s.view ~setup:s.setup in
   let runs = ref 0 and violations = ref 0 in
-  let (_ : int * Explore.stats) =
-    Explore.exhaustive_with_faults ~setup:wrapped ~fuel:s.fuel ~fault_bound:1
-      ~max_plans:10
-      ~f:(fun o ->
+  let (_ : int * Explore.stats * unit array) =
+    Explore.exhaustive_with_faults_collect ~setup:wrapped ~fuel:s.fuel
+      ~fault_bound:1 ~max_plans:10 ~init:ignore
+      ~f:(fun () o ->
         incr runs;
         let crashed =
           match crashed_tids o with [] -> None | tids -> Some tids

@@ -137,6 +137,113 @@ let test_append_nth () =
   Alcotest.(check int) "len" 1 (History.length h);
   check_bool "nth" true (Action.equal (History.nth h 0) (inv 1 (vi 3)))
 
+(* ------------------------------------------- scan differential ----- *)
+
+(* History.scan against the quadratic scan it replaced: the same entries
+   in the same order, or the same error string. A tally counts the Ok
+   results and records the error kinds seen, so a test can show it
+   reached each. *)
+type scan_tally = { mutable ok : int; mutable errors : string list }
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let error_kind reason =
+  List.find_opt
+    (fun k -> contains reason k)
+    [ "out of order"; "invokes while pending"; "no pending invocation"; "does not match" ]
+  |> Option.value ~default:reason
+
+let compare_scan c h =
+  let expected = Scan_oracle.scan (Array.of_list (History.to_list h)) in
+  let got = Result.map Array.to_list (History.scan h) in
+  if expected <> got then
+    Alcotest.failf "scan differs from the reference on@.%a" History.pp h;
+  match got with
+  | Ok _ -> c.ok <- c.ok + 1
+  | Error reason ->
+      let k = error_kind reason in
+      if not (List.mem k c.errors) then c.errors <- k :: c.errors
+
+(* Damage that mutate_history's well-formedness-preserving corruptions do
+   not reach: drop, duplicate or move one action, or insert a crash marker
+   whose epoch may be out of order. *)
+let damage g h =
+  let actions = Array.of_list (History.to_list h) in
+  let n = Array.length actions in
+  if n = 0 then h
+  else
+    let i = Workloads.Gen.int g n and j = Workloads.Gen.int g n in
+    let l = Array.to_list actions in
+    History.of_list
+      (match Workloads.Gen.int g 4 with
+      | 0 -> List.filteri (fun k _ -> k <> i) l
+      | 1 -> List.concat (List.mapi (fun k a -> if k = i then [ a; a ] else [ a ]) l)
+      | 2 ->
+          let a = actions.(i) in
+          actions.(i) <- actions.(j);
+          actions.(j) <- a;
+          Array.to_list actions
+      | _ ->
+          let crash = Action.crash ~epoch:(1 + Workloads.Gen.int g 2) in
+          List.concat (List.mapi (fun k a -> if k = i then [ crash; a ] else [ a ]) l))
+
+let test_scan_generated () =
+  let c = { ok = 0; errors = [] } in
+  let q_oid = oid "Q" and c_oid = oid "C" in
+  let kinds =
+    [
+      Workloads.Gen.exchanger_trace ~oid:e_oid ~threads:3;
+      Workloads.Gen.stack_trace ~oid:s_oid ~threads:3;
+      Workloads.Gen.counter_trace ~oid:c_oid ~threads:3;
+      Workloads.Gen.sync_queue_trace ~oid:q_oid ~threads:3;
+    ]
+  in
+  for seed = 0 to 199 do
+    List.iter
+      (fun trace_of ->
+        let g = Workloads.Gen.create ~seed:(Int64.of_int seed) in
+        let h = Workloads.Gen.history_of_trace g (trace_of g ~elements:5) in
+        let m = Workloads.Gen.mutate_history g h in
+        let actions = History.to_list h in
+        let cut = Workloads.Gen.int g (List.length actions + 1) in
+        List.iter (compare_scan c)
+          [
+            h;
+            m;
+            History.of_list (List.filteri (fun i _ -> i < cut) actions);
+            damage g h;
+            damage g m;
+            damage g (damage g h);
+          ])
+      kinds
+  done;
+  check_bool "well-formed histories scanned" true (c.ok > 0);
+  List.iter
+    (fun k -> check_bool ("error reached: " ^ k) true (List.mem k c.errors))
+    [ "out of order"; "invokes while pending"; "no pending invocation"; "does not match" ]
+
+(* Multi-era histories of the durable crash sweeps, intact and damaged. *)
+let test_scan_crash_histories () =
+  let c = { ok = 0; errors = [] } in
+  let g = Workloads.Gen.create ~seed:7L in
+  let multi_era = ref 0 in
+  List.iter
+    (fun (d : Workloads.Scenarios.durable) ->
+      ignore
+        (Conc.Explore.exhaustive_with_crashes ~setup:d.d_setup ~fuel:d.d_fuel
+           ~max_runs:40 ~max_plans:20 ~max_crash_depth:d.d_max_crash_depth
+           ~f:(fun o ->
+             if History.crash_count o.history > 0 then incr multi_era;
+             compare_scan c o.history;
+             compare_scan c (damage g o.history))
+           ()))
+    (Workloads.Scenarios.durable_all ());
+  check_bool "crash markers scanned" true (!multi_era > 0);
+  check_bool "well-formed histories scanned" true (c.ok > 0)
+
 let () =
   Alcotest.run "history"
     [
@@ -156,6 +263,11 @@ let () =
           t "projections" test_projections;
           t "thread projection sequential" test_proj_thread_sequential;
           t "append/nth" test_append_nth;
+        ] );
+      ( "scan",
+        [
+          t "matches the reference on generated histories" test_scan_generated;
+          t "matches the reference on crash histories" test_scan_crash_histories;
         ] );
       ( "completions",
         [

@@ -122,6 +122,18 @@ let test_concurrent_window_accepted () =
   Alcotest.(check int) "no violations" 0
     (count_events (violation_for "E") evs)
 
+(* The exhaustive path commits the final acceptor of the window's
+   witness: after two overlapping increments the counter's committed
+   state is 2, so a sequential burst continuing from 2 commits. *)
+let test_concurrent_window_commits_state () =
+  let overlapping = [ cinv ~t:1 "C"; cinv ~t:2 "C"; cres ~t:1 "C" 1; cres ~t:2 "C" 0 ] in
+  let core, evs = run (mk ()) (lines (overlapping @ counter_burst ~from:2 "C" 2)) in
+  Alcotest.(check int) "no violations" 0 (count_events (violation_for "C") evs);
+  Alcotest.(check int) "every window commits" 3 (count_events (committed_for "C") evs);
+  match Core.session core (Ids.Oid.v "C") with
+  | Some s -> Alcotest.(check string) "committed state" "4" (Session.committed_key s)
+  | None -> Alcotest.fail "session missing"
+
 let test_concurrent_window_rejected () =
   (* Both sides claim success against different partners' values than
      offered: no element explains it. *)
@@ -644,6 +656,8 @@ let () =
           t "violation latches" test_sequential_violation_latches;
           t "concurrent window accepted" test_concurrent_window_accepted;
           t "concurrent window rejected" test_concurrent_window_rejected;
+          t "concurrent window commits its final state"
+            test_concurrent_window_commits_state;
         ] );
       ( "containment",
         [

@@ -100,6 +100,70 @@ let value_gen =
 
 let arb_value = QCheck.make ~print:Value.show value_gen
 
+(* Specification keys are [show]s and daemon snapshots store them, so
+   [show] (and [pp], which writes it) must keep printing the bytes of the
+   Format printer the keys were first written with, [format_pp] below.
+   This generator reaches what
+   [value_gen] does not: strings of arbitrary bytes (quotes, backslashes,
+   control and non-ASCII characters need escaping), negative and extreme
+   ints, deeper nesting and empty lists. *)
+let printable_gen =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map Value.int (oneof [ int; int_range (-50) 50; oneofl [ min_int; max_int; 0 ] ]);
+        map Value.str (string_size ~gen:char (int_bound 6));
+        map Value.str
+          (string_size ~gen:(oneofl [ '"'; '\\'; '\n'; '\t'; 'a'; '\255' ]) (int_bound 4));
+        map Value.bool bool;
+        return Value.unit;
+        return (Value.list []);
+      ]
+  in
+  let rec gen depth =
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          (1, map2 Value.pair (gen (depth - 1)) (gen (depth - 1)));
+          (1, map Value.list (list_size (int_bound 4) (gen (depth - 1))));
+        ]
+  in
+  int_bound 4 >>= gen
+
+let rec format_pp ppf = function
+  | Value.Unit -> Fmt.string ppf "()"
+  | Bool b -> Fmt.bool ppf b
+  | Int n -> Fmt.int ppf n
+  | Str s -> Fmt.pf ppf "%S" s
+  | Pair (a, b) -> Fmt.pf ppf "(%a, %a)" format_pp a format_pp b
+  | List vs -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") format_pp) vs
+
+let pp_string v = Fmt.str "%a" Value.pp v
+let format_string v = Fmt.str "%a" format_pp v
+let arb_printable = QCheck.make ~print:format_string printable_gen
+
+let test_show_is_pp () =
+  List.iter
+    (fun v ->
+      let expected = format_string v in
+      Alcotest.(check string) ("show " ^ expected) expected (Value.show v);
+      Alcotest.(check string) ("pp " ^ expected) expected (pp_string v))
+    [
+      Value.list [];
+      Value.list [ Value.list [] ];
+      vi (-7);
+      vi min_int;
+      Value.str "";
+      Value.str "q\"uo\\te\n\t\r\001\255é";
+      Value.pair
+        (Value.pair (vi (-1)) (Value.str "a b"))
+        (Value.list [ Value.unit; Value.bool false ]);
+      Value.timeout (Value.list [ vi 1; Value.pair (vi 2) (vi (-3)) ]);
+    ]
+
 let () =
   Alcotest.run "value"
     [
@@ -113,6 +177,7 @@ let () =
           t "hash consistency" test_hash_consistent_with_equal;
           t "subvalues" test_subvalues;
           t "show" test_show;
+          t "show is pp" test_show_is_pp;
         ] );
       ( "properties",
         [
@@ -131,5 +196,8 @@ let () =
                     (fun ss -> List.exists (Value.equal ss) subs)
                     (Value.subvalues s))
                 subs);
+          qtest ~count:1000 "show prints the bytes of pp" arb_printable (fun v ->
+              let expected = format_string v in
+              String.equal (Value.show v) expected && String.equal (pp_string v) expected);
         ] );
     ]
