@@ -1,4 +1,4 @@
-.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke ci clean
+.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke perf-ab ci clean
 
 all: build
 
@@ -123,6 +123,16 @@ serve-crash-smoke: build
 # with any CAL_* variable set.
 perfbench-smoke:
 	python3 perfbench/run.py --smoke
+
+# A/B of the repo benchmark: commit REV against the working tree, PAIRS
+# interleaved pairs of untraced WORKLOAD runs (REV first on odd pairs).
+# REV is exported with git archive to a directory outside the checkout.
+# Prints each end-to-end metric's medians, quartiles, wins and verdict.
+REV ?= HEAD
+WORKLOAD ?= verify-modular
+PAIRS ?= 10
+perf-ab:
+	python3 scripts/perf_ab.py --rev $(REV) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 ci: build test cross-check-dpor check-parallel fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke
 

@@ -16,5 +16,13 @@ val check : History.t -> Ca_trace.t -> (witness, string) result
     witness, or a human-readable reason for disagreement. [h] must be
     complete; an incomplete or ill-formed history yields [Error]. *)
 
+val check_entries : History.entry array -> Ca_trace.t -> (witness, string) result
+(** [check_entries es t] is [check h t] for a history [h] whose
+    {!History.scan} is [Ok es], without scanning [h]: it reads only the
+    entries' operations and their real-time order ({!History.precedes}),
+    so any entries with the same operations and order give the same
+    result. A pending entry yields the [Error] of an incomplete
+    history. *)
+
 val agrees : History.t -> Ca_trace.t -> bool
 (** [agrees h t] is [Result.is_ok (check h t)]. *)

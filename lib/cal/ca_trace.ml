@@ -20,7 +20,8 @@ let element oid ops =
     invalid_arg "Ca_trace.element: two operations of the same thread";
   { oid; ops = sorted }
 
-let singleton (op : Op.t) = element op.oid [ op ]
+(* One operation satisfies every invariant [element] checks. *)
+let singleton (op : Op.t) = { oid = op.oid; ops = [ op ] }
 let element_ops e = e.ops
 let element_oid e = e.oid
 let element_size e = List.length e.ops

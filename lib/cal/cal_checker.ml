@@ -148,12 +148,14 @@ let check ?crashed ~spec h =
      a state depends only on [decided] and the acceptor, hence the memo
      key. The search returns the trace, its final acceptor, the dropped
      mask and the chosen returns of kept pending operations. *)
-  let failed = Failed.create (Tuning.checker_table_size ~ops:n) in
+  (* Created on the first failed state: a history whose search never
+     backtracks pays for no table. *)
+  let failed = ref None in
   let rec dfs decided dropped acc acc_trace rets =
     if decided = full then Some (List.rev acc_trace, acc, dropped, rets)
     else begin
       let memo_key = (decided, Spec.key acc) in
-      if Failed.mem failed memo_key then begin
+      if match !failed with None -> false | Some t -> Failed.mem t memo_key then begin
         incr memo_hits;
         None
       end
@@ -193,8 +195,11 @@ let check ?crashed ~spec h =
             let pend_ops =
               List.map2 (fun i ret -> Op.of_pending pending.(i) ~ret) pend pend_rets
             in
-            let oid = entries.(List.hd subset).History.oid in
-            let elem = Ca_trace.element oid (fixed_ops @ pend_ops) in
+            let elem =
+              match (fixed_ops, pend_ops) with
+              | [ o ], [] | [], [ o ] -> Ca_trace.singleton o
+              | _ -> Ca_trace.element entries.(List.hd subset).History.oid (fixed_ops @ pend_ops)
+            in
             match Spec.step acc elem with
             | None -> None
             | Some acc' ->
@@ -228,7 +233,17 @@ let check ?crashed ~spec h =
           | Some _ as r -> r
           | None -> List.find_map drop avail
         in
-        if result = None then Failed.replace failed memo_key ();
+        if result = None then begin
+          let t =
+            match !failed with
+            | Some t -> t
+            | None ->
+                let t = Failed.create (Tuning.checker_table_size ~ops:n) in
+                failed := Some t;
+                t
+          in
+          Failed.replace t memo_key ()
+        end;
         result
       end
     end
@@ -268,9 +283,9 @@ let check ?crashed ~spec h =
       Rejected
         {
           reason =
-            Fmt.str "no %scompletion of the history is explained by any %s trace"
-              (if crashed = None && crashes = 0 then "" else "crash-consistent ")
-              spec.Spec.name;
+            "no "
+            ^ (if crashed = None && crashes = 0 then "" else "crash-consistent ")
+            ^ "completion of the history is explained by any " ^ spec.Spec.name ^ " trace";
           stats = stats ();
         }
 

@@ -53,13 +53,14 @@ let of_ops ops =
    (the wiped threads never respond, so those calls stay pending) and opens
    the next era. One linear pass records, per invocation in invocation
    order, its position, its era and the position of its response; the
-   entries are then built once from those arrays. Returns the entries in
-   invocation order, or an error describing the first well-formedness
-   violation. *)
+   entries are then built once from those arrays. The open invocations are
+   an association list from thread id to invocation number: it holds at
+   most one entry per thread with a call in flight, whatever the ids'
+   values. Returns the entries in invocation order, or an error describing
+   the first well-formedness violation. *)
 let scan (h : t) : (entry array, string) result =
   let exception Bad of string in
   let n = Array.length h in
-  let open_inv : (int, int) Hashtbl.t = Hashtbl.create 8 in
   (* [inv_at.(k)], [era_at.(k)], [res_at.(k)]: the k-th invocation's
      position, era and response position ([-1] while pending) *)
   let inv_at = Array.make n 0 in
@@ -67,6 +68,16 @@ let scan (h : t) : (entry array, string) result =
   let res_at = Array.make n (-1) in
   let count = ref 0 in
   let era = ref 0 in
+  (* the open call of [tid], [-1] if none *)
+  let rec open_of tid = function
+    | [] -> -1
+    | (t, k) :: rest -> if Int.equal t tid then k else open_of tid rest
+  in
+  let rec remove tid = function
+    | [] -> []
+    | ((t, _) as x) :: rest -> if Int.equal t tid then rest else x :: remove tid rest
+  in
+  let open_inv = ref [] in
   try
     for i = 0 to n - 1 do
       match h.(i) with
@@ -76,22 +87,22 @@ let scan (h : t) : (entry array, string) result =
               (Bad
                  (Fmt.str "action %d: crash marker #%d out of order (expected #%d)"
                     i epoch (!era + 1)));
-          Hashtbl.reset open_inv;
+          open_inv := [];
           era := epoch
       | Action.Inv { tid = t; _ } ->
           let tid = Tid.to_int t in
-          if Hashtbl.mem open_inv tid then
+          if open_of tid !open_inv >= 0 then
             raise (Bad (Fmt.str "action %d: thread %a invokes while pending" i Tid.pp t));
-          Hashtbl.replace open_inv tid !count;
+          open_inv := (tid, !count) :: !open_inv;
           inv_at.(!count) <- i;
           era_at.(!count) <- !era;
           incr count
       | Action.Res { tid = t; oid; fid; _ } -> (
           let tid = Tid.to_int t in
-          match Hashtbl.find_opt open_inv tid with
-          | None ->
+          match open_of tid !open_inv with
+          | -1 ->
               raise (Bad (Fmt.str "action %d: thread %a responds with no pending invocation" i Tid.pp t))
-          | Some k ->
+          | k ->
               let j = inv_at.(k) in
               let matching =
                 match h.(j) with
@@ -100,7 +111,7 @@ let scan (h : t) : (entry array, string) result =
               in
               if not matching then
                 raise (Bad (Fmt.str "action %d: response does not match invocation at %d" i j));
-              Hashtbl.remove open_inv tid;
+              open_inv := remove tid !open_inv;
               res_at.(k) <- i)
     done;
     Ok

@@ -118,7 +118,10 @@ let active_threads t ~oid =
      crash marker ends the scan — every invocation before it was cut off by
      the crash, so none of those threads is still executing. *)
   let exception Done in
-  let closed = Hashtbl.create 8 in
+  (* threads already accounted for, one entry each: their newest call on
+     [oid] is either answered or counted active *)
+  let closed = ref [] in
+  let is_closed tid = List.exists (Cal.Ids.Tid.equal tid) !closed in
   let active = ref [] in
   (try
      List.iter
@@ -126,12 +129,12 @@ let active_threads t ~oid =
          match a with
          | Cal.Action.Crash _ -> raise Done
          | Cal.Action.Res { tid; oid = o; _ } when Cal.Ids.Oid.equal o oid ->
-             Hashtbl.replace closed (Cal.Ids.Tid.to_int tid) ()
+             if not (is_closed tid) then closed := tid :: !closed
          | Cal.Action.Inv { tid; oid = o; _ } when Cal.Ids.Oid.equal o oid ->
-             if not (Hashtbl.mem closed (Cal.Ids.Tid.to_int tid)) then begin
+             if not (is_closed tid) then begin
                active := tid :: !active;
                (* older invocations of this thread are already answered *)
-               Hashtbl.replace closed (Cal.Ids.Tid.to_int tid) ()
+               closed := tid :: !closed
              end
          | _ -> ())
        t.history_rev

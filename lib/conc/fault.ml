@@ -13,12 +13,13 @@ let stall ~thread ~at_step ~for_steps = Stall { thread; at_step; for_steps }
 let delay ~thread ~factor = Delay { thread; factor }
 let crash_system ~at_step = Crash_system { at_step }
 
+(* The threads already crashed and delayed are kept in lists: a plan has a
+   handful of entries, so a table per validation would cost more than the
+   membership tests it saves. *)
 let validate ?(max_crash_depth = 1) plan =
-  let seen_crash = Hashtbl.create 4 in
-  let seen_delay = Hashtbl.create 4 in
   let sys_crashes = ref 0 in
   let last_sys = ref (-1) in
-  let rec go = function
+  let rec go seen_crash seen_delay = function
     | [] -> Ok ()
     | Crash_system { at_step } :: rest ->
         if at_step < 0 then Error "Crash_system: negative at_step"
@@ -31,43 +32,37 @@ let validate ?(max_crash_depth = 1) plan =
             Error
               (Fmt.str "Crash_system: %d system crashes exceed max_crash_depth %d"
                  !sys_crashes max_crash_depth)
-          else go rest
+          else go seen_crash seen_delay rest
         end
     | Crash { thread; at_step } :: rest ->
         if thread < 0 then Error "Crash: negative thread"
         else if at_step < 0 then Error "Crash: negative at_step"
-        else if Hashtbl.mem seen_crash thread then
+        else if List.mem thread seen_crash then
           Error (Fmt.str "two crashes of thread %d" thread)
-        else begin
-          Hashtbl.replace seen_crash thread ();
-          go rest
-        end
+        else go (thread :: seen_crash) seen_delay rest
     | Fail_step { label; nth } :: rest ->
         if label = "" then Error "Fail_step: empty label"
         else if nth < 1 then Error "Fail_step: nth must be >= 1"
-        else go rest
+        else go seen_crash seen_delay rest
     | Stall { thread; at_step; for_steps } :: rest ->
         if thread < 0 then Error "Stall: negative thread"
         else if at_step < 0 then Error "Stall: negative at_step"
         else if for_steps < 1 then Error "Stall: for_steps must be >= 1"
-        else go rest
+        else go seen_crash seen_delay rest
     | Delay { thread; factor } :: rest ->
         if thread < 0 then Error "Delay: negative thread"
         else if factor < 2 then Error "Delay: factor must be >= 2"
-        else if Hashtbl.mem seen_delay thread then
+        else if List.mem thread seen_delay then
           Error (Fmt.str "two delays of thread %d" thread)
-        else begin
-          Hashtbl.replace seen_delay thread ();
-          go rest
-        end
+        else go seen_crash (thread :: seen_delay) rest
   in
-  go plan
+  go [] [] plan
 
 let matches_label ~pattern label =
   String.equal pattern label
   ||
   let pl = String.length pattern in
-  String.length label > pl && String.sub label 0 pl = pattern && label.[pl] = '@'
+  String.length label > pl && label.[pl] = '@' && String.starts_with ~prefix:pattern label
 
 let crashed_threads plan =
   List.filter_map (function Crash { thread; _ } -> Some thread | _ -> None) plan

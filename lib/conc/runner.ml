@@ -42,7 +42,8 @@ type fault_state = {
   mutable crash_at : int array;   (* per-thread crash point, max_int if none *)
   mutable stall_until : int array; (* global step before which the thread sleeps *)
   mutable sys_pending : int list; (* remaining Crash_system points, ascending *)
-  fail_seen : (string, int) Hashtbl.t;  (* pattern -> matching fallible steps *)
+  fail_seen : (string * int ref) list;
+      (* one counter per distinct Fail_step pattern: matching fallible steps *)
   mutable fired_rev : Fault.t list;     (* Fail_step and Stall firings, newest first *)
   mutable fallible_rev : string list;   (* labels of executed fallible steps *)
 }
@@ -63,7 +64,14 @@ let fault_state ~threads plan =
       crash_at;
       stall_until;
       sys_pending = Fault.system_crash_points plan;
-      fail_seen = Hashtbl.create 4;
+      fail_seen =
+        List.fold_left
+          (fun acc f ->
+            match f with
+            | Fault.Fail_step { label = pattern; _ } when not (List.mem_assoc pattern acc) ->
+                (pattern, ref 0) :: acc
+            | _ -> acc)
+          [] plan;
       fired_rev = [];
       fallible_rev = [];
     }
@@ -101,28 +109,20 @@ let stalled fs i = fs.global_step < fs.stall_until.(i)
    some Fail_step of the plan. Counters advance for every matching fallible
    step, forced or not — and for {e every} matching pattern: two plan
    entries whose patterns both match this label must both see it, so the
-   counters are advanced for all matching patterns first (once per
-   pattern), and only then is the forcing decision taken. A short-circuit
-   here would make the second pattern's counter skip the step and fire its
-   fault one occurrence late. *)
+   counters (one per distinct pattern) are advanced for all matching
+   patterns first, and only then is the forcing decision taken. A
+   short-circuit here would make the second pattern's counter skip the step
+   and fire its fault one occurrence late. *)
 let forced_failure fs label =
   fs.fallible_rev <- label :: fs.fallible_rev;
-  let bumped = Hashtbl.create 4 in
   List.iter
-    (function
-      | Fault.Fail_step { label = pattern; _ }
-        when Fault.matches_label ~pattern label && not (Hashtbl.mem bumped pattern) ->
-          Hashtbl.replace bumped pattern ();
-          Hashtbl.replace fs.fail_seen pattern
-            (1 + Option.value ~default:0 (Hashtbl.find_opt fs.fail_seen pattern))
-      | _ -> ())
-    fs.plan;
+    (fun (pattern, seen) -> if Fault.matches_label ~pattern label then incr seen)
+    fs.fail_seen;
   List.fold_left
     (fun forced f ->
       match f with
       | Fault.Fail_step { label = pattern; nth }
-        when Fault.matches_label ~pattern label
-             && Option.value ~default:0 (Hashtbl.find_opt fs.fail_seen pattern) = nth ->
+        when Fault.matches_label ~pattern label && !(List.assoc pattern fs.fail_seen) = nth ->
           fs.fired_rev <- f :: fs.fired_rev;
           true
       | _ -> forced)

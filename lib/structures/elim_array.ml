@@ -50,7 +50,7 @@ let create ?(oid = Ids.Oid.v "AR") ?(instrument = true) ?(log_history = true)
   if k <= 0 then invalid_arg "Elim_array.create: k must be positive";
   let slots =
     Array.init k (fun i ->
-        let sub = Ids.Oid.v (Fmt.str "%a[%d]" Ids.Oid.pp oid i) in
+        let sub = Ids.Oid.v (Ids.Oid.to_string oid ^ "[" ^ string_of_int i ^ "]") in
         factory ~instrument ~oid:sub ctx)
   in
   { ar_oid = oid; slots; strategy = slot_strategy; ctx; log_history }

@@ -16,7 +16,7 @@ type t = {
 
 let create ?(oid = Ids.Oid.v "EQ") ?(instrument = true) ?(log_history = true)
     ?(unsafe_skip_empty_check = false) ctx =
-  let q_oid = Ids.Oid.v (Fmt.str "%a.Q" Ids.Oid.pp oid) in
+  let q_oid = Ids.Oid.v (Ids.Oid.to_string oid ^ ".Q") in
   {
     eq_oid = oid;
     q = Ms_queue.create ~oid:q_oid ~instrument ~log_history:false ctx;

@@ -108,7 +108,12 @@ let remove_one op ops =
   in
   go [] ops
 
-let reconcile h trace =
+(* The core of [reconcile], on one scan of [h]: its entries and the returns
+   of the completion, aligned with them. A completed operation keeps its
+   own return, a pending one adopts the return the trace committed to, and
+   [None] marks a pending operation absent from the trace, which the
+   completion drops. *)
+let reconcile_entries h trace =
   match History.scan h with
   | Error reason -> Error ("ill-formed history: " ^ reason)
   | Ok entries ->
@@ -128,23 +133,23 @@ let reconcile h trace =
                     :: !errors))
         entries;
       (* pending operations: adopt the trace's commitment or drop *)
-      let dropped = ref [] in
-      let appended = ref [] in
-      Array.iter
-        (fun (e : History.entry) ->
-          if e.ret = None then begin
-            let matches (o : Op.t) =
-              Ids.Tid.equal o.tid e.tid && Ids.Oid.equal o.oid e.oid
-              && Ids.Fid.equal o.fid e.fid && Value.equal o.arg e.arg
-            in
-            match List.find_opt matches !trace_ops with
-            | Some o ->
-                trace_ops := Option.get (remove_one o !trace_ops);
-                appended :=
-                  Action.res ~tid:e.tid ~oid:e.oid ~fid:e.fid o.ret :: !appended
-            | None -> dropped := e.inv_index :: !dropped
-          end)
-        entries;
+      let rets =
+        Array.map
+          (fun (e : History.entry) ->
+            match e.ret with
+            | Some _ as ret -> ret
+            | None -> (
+                let matches (o : Op.t) =
+                  Ids.Tid.equal o.tid e.tid && Ids.Oid.equal o.oid e.oid
+                  && Ids.Fid.equal o.fid e.fid && Value.equal o.arg e.arg
+                in
+                match List.find_opt matches !trace_ops with
+                | Some o ->
+                    trace_ops := Option.get (remove_one o !trace_ops);
+                    Some o.ret
+                | None -> None))
+          entries
+      in
       List.iter
         (fun (o : Op.t) ->
           errors :=
@@ -152,25 +157,75 @@ let reconcile h trace =
             :: !errors)
         !trace_ops;
       if !errors <> [] then Error (String.concat "; " (List.rev !errors))
-      else begin
-        let kept =
-          History.to_list h
-          |> List.filteri (fun idx _ -> not (List.mem idx !dropped))
-        in
-        Ok (History.of_list (kept @ List.rev !appended))
-      end
+      else Ok (entries, rets)
 
+(* The completion as a history: the dropped invocations removed, the
+   adopted responses appended in invocation order. *)
+let reconcile h trace =
+  Result.map
+    (fun (entries, rets) ->
+      let dropped = ref [] and appended = ref [] in
+      Array.iteri
+        (fun i (e : History.entry) ->
+          match (e.ret, rets.(i)) with
+          | Some _, _ -> ()
+          | None, None -> dropped := e.inv_index :: !dropped
+          | None, Some ret ->
+              appended := Action.res ~tid:e.tid ~oid:e.oid ~fid:e.fid ret :: !appended)
+        entries;
+      let kept =
+        History.to_list h |> List.filteri (fun idx _ -> not (List.mem idx !dropped))
+      in
+      History.of_list (kept @ List.rev !appended))
+    (reconcile_entries h trace)
+
+(* The completion's entries, without rebuilding the history. Kept entries
+   keep their positions and adopted responses take positions [n], [n+1], …
+   after every action of [h], which preserves {!History.precedes}, all
+   {!Agreement.check_entries} reads. [None] when an operation of an era
+   before the last adopts a response: [reconcile] appends that response
+   after a crash marker, which closes every open call ({!History.scan}),
+   so the rebuilt completion is ill-formed. *)
+let completion_entries h (entries : History.entry array) rets =
+  if History.all_returned entries then Some entries
+  else begin
+    let exception Stale in
+    let last_era = History.crash_count h in
+    let next = ref (History.length h) in
+    let kept = ref [] in
+    try
+      Array.iteri
+        (fun i (e : History.entry) ->
+          match (e.ret, rets.(i)) with
+          | _, None -> ()
+          | Some _, Some _ -> kept := e :: !kept
+          | None, Some _ when e.era < last_era -> raise Stale
+          | None, Some ret ->
+              kept := { e with ret = Some ret; res_index = Some !next } :: !kept;
+              incr next)
+        entries;
+      Some (Array.of_list (List.rev !kept))
+    with Stale -> None
+  end
+
+(* One scan per outcome: reconciliation and agreement share the entries.
+   The result and messages are those of composing the public [reconcile]
+   and [Agreement.check], which answers "history is not complete" on an
+   ill-formed completion. *)
 let check_outcome ~spec ~view (outcome : Conc.Runner.outcome) =
   let viewed = view outcome.trace in
   match Spec.explain_rejection spec viewed with
   | Some msg -> Error ("spec obligation: " ^ msg)
   | None -> (
-      match reconcile outcome.history viewed with
+      match reconcile_entries outcome.history viewed with
       | Error msg -> Error ("reconciliation: " ^ msg)
-      | Ok completion -> (
-          match Agreement.check completion viewed with
-          | Error msg -> Error ("agreement obligation: " ^ msg)
-          | Ok _ -> Ok ()))
+      | Ok (entries, rets) -> (
+          match completion_entries outcome.history entries rets with
+          | None -> Error "agreement obligation: history is not complete"
+          | Some completion -> (
+              match Agreement.check_entries completion viewed with
+              | Error msg -> Error ("agreement obligation: " ^ msg)
+              | Ok _ -> Ok ())))
 
 (* ------------------------------------------------ history obligations -- *)
 

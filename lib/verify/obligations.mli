@@ -241,7 +241,10 @@ val reconcile : Cal.History.t -> Cal.Ca_trace.t -> (Cal.History.t, string) resul
 
 val check_outcome :
   spec:Cal.Spec.t -> view:Cal.View.t -> Conc.Runner.outcome -> (unit, string) result
-(** Both obligations for a single execution. *)
+(** Both obligations for a single execution. The result, message
+    included, is that of {!Cal.Spec.explain_rejection}, then {!reconcile},
+    then {!Cal.Agreement.check} on the completion; the history is scanned
+    once and the completion is never rebuilt as a history. *)
 
 val ok : report -> bool
 

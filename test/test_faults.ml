@@ -25,6 +25,72 @@ let test_validate () =
   bad [ Fault.stall ~thread:0 ~at_step:0 ~for_steps:0 ];
   bad [ Fault.crash ~thread:0 ~at_step:1; Fault.crash ~thread:0 ~at_step:2 ]
 
+(* Every rejection message of [Fault.validate], and which violation a plan
+   with two faults reports: the first in plan order. *)
+let test_validate_messages () =
+  let crash = Fault.crash and delay = Fault.delay and cs = Fault.crash_system in
+  let fail = Fault.fail_step and stall = Fault.stall in
+  let cases =
+    [
+      ([ crash ~thread:(-1) ~at_step:0 ], None, "Crash: negative thread");
+      ([ crash ~thread:0 ~at_step:(-1) ], None, "Crash: negative at_step");
+      ([ crash ~thread:3 ~at_step:1; crash ~thread:3 ~at_step:2 ], None, "two crashes of thread 3");
+      ([ fail ~label:"" ~nth:1 ], None, "Fail_step: empty label");
+      ([ fail ~label:"cas" ~nth:0 ], None, "Fail_step: nth must be >= 1");
+      ([ stall ~thread:(-1) ~at_step:0 ~for_steps:1 ], None, "Stall: negative thread");
+      ([ stall ~thread:0 ~at_step:(-1) ~for_steps:1 ], None, "Stall: negative at_step");
+      ([ stall ~thread:0 ~at_step:0 ~for_steps:0 ], None, "Stall: for_steps must be >= 1");
+      ([ delay ~thread:(-1) ~factor:2 ], None, "Delay: negative thread");
+      ([ delay ~thread:0 ~factor:1 ], None, "Delay: factor must be >= 2");
+      ([ delay ~thread:2 ~factor:2; delay ~thread:2 ~factor:3 ], None, "two delays of thread 2");
+      ([ cs ~at_step:(-1) ], None, "Crash_system: negative at_step");
+      ( [ cs ~at_step:3; cs ~at_step:3 ],
+        Some 2,
+        "Crash_system: crash points must be strictly increasing" );
+      ( [ cs ~at_step:3; cs ~at_step:1 ],
+        Some 2,
+        "Crash_system: crash points must be strictly increasing" );
+      ( [ cs ~at_step:0; cs ~at_step:3 ],
+        None,
+        "Crash_system: 2 system crashes exceed max_crash_depth 1" );
+      ( [ cs ~at_step:0; cs ~at_step:1; cs ~at_step:2 ],
+        Some 2,
+        "Crash_system: 3 system crashes exceed max_crash_depth 2" );
+      (* two faults: the first violation in plan order wins *)
+      ([ crash ~thread:0 ~at_step:(-1); delay ~thread:1 ~factor:1 ], None, "Crash: negative at_step");
+      ([ delay ~thread:1 ~factor:1; crash ~thread:0 ~at_step:(-1) ], None, "Delay: factor must be >= 2");
+      ( [ crash ~thread:1 ~at_step:0; delay ~thread:1 ~factor:2; crash ~thread:1 ~at_step:4;
+          delay ~thread:1 ~factor:3 ],
+        None,
+        "two crashes of thread 1" );
+      ( [ delay ~thread:1 ~factor:2; crash ~thread:1 ~at_step:0; delay ~thread:1 ~factor:3;
+          crash ~thread:1 ~at_step:4 ],
+        None,
+        "two delays of thread 1" );
+      ( [ cs ~at_step:0; cs ~at_step:3; fail ~label:"" ~nth:1 ],
+        None,
+        "Crash_system: 2 system crashes exceed max_crash_depth 1" );
+      ([ fail ~label:"" ~nth:1; cs ~at_step:0; cs ~at_step:3 ], None, "Fail_step: empty label");
+      ( [ stall ~thread:0 ~at_step:0 ~for_steps:0; fail ~label:"cas" ~nth:0 ],
+        None,
+        "Stall: for_steps must be >= 1" );
+    ]
+  in
+  List.iter
+    (fun (plan, max_crash_depth, msg) ->
+      let name = Fmt.str "%a" Fault.pp_plan plan in
+      Alcotest.(check (result unit string)) name (Error msg)
+        (Fault.validate ?max_crash_depth plan))
+    cases;
+  (* the runner prefixes the same message *)
+  Alcotest.check_raises "runner"
+    (Invalid_argument "Runner: invalid fault plan: two crashes of thread 0") (fun () ->
+      ignore
+        (Runner.start
+           ~plan:[ crash ~thread:0 ~at_step:1; crash ~thread:0 ~at_step:2 ]
+           ~setup:(fun _ -> { Runner.threads = [||]; observe = None; on_label = None })
+           ()))
+
 let test_validate_crash_system () =
   let ok ?d p = Result.is_ok (Fault.validate ?max_crash_depth:d p) in
   check_bool "single point" true (ok [ Fault.crash_system ~at_step:0 ]);
@@ -519,6 +585,7 @@ let () =
       ( "plans",
         [
           t "validate" test_validate;
+          t "validate messages" test_validate_messages;
           t "validate crash-system plans" test_validate_crash_system;
           t "delay applies before crash" test_delay_applies_before_crash;
           t "matches_label" test_matches_label;

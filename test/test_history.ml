@@ -167,6 +167,25 @@ let compare_scan c h =
       let k = error_kind reason in
       if not (List.mem k c.errors) then c.errors <- k :: c.errors
 
+(* Thread ids are arbitrary non-negative ints ([calc serve] frames carry
+   whatever the client sends): every history below is also compared with
+   its threads renamed to ids at both ends of the range. *)
+let hostile_tids = [| 0; 1_000_000_000; max_int; max_int - 1; 1; max_int - 2 |]
+
+let rename_tids h =
+  let tid t = Ids.Tid.of_int hostile_tids.(Ids.Tid.to_int t mod Array.length hostile_tids) in
+  History.of_list
+    (List.map
+       (function
+         | Action.Inv { tid = t; oid; fid; arg } -> Action.inv ~tid:(tid t) ~oid ~fid arg
+         | Action.Res { tid = t; oid; fid; ret } -> Action.res ~tid:(tid t) ~oid ~fid ret
+         | Action.Crash _ as a -> a)
+       (History.to_list h))
+
+let compare_scans c h =
+  compare_scan c h;
+  compare_scan c (rename_tids h)
+
 (* Damage that mutate_history's well-formedness-preserving corruptions do
    not reach: drop, duplicate or move one action, or insert a crash marker
    whose epoch may be out of order. *)
@@ -209,7 +228,7 @@ let test_scan_generated () =
         let m = Workloads.Gen.mutate_history g h in
         let actions = History.to_list h in
         let cut = Workloads.Gen.int g (List.length actions + 1) in
-        List.iter (compare_scan c)
+        List.iter (compare_scans c)
           [
             h;
             m;
@@ -237,12 +256,29 @@ let test_scan_crash_histories () =
            ~max_runs:40 ~max_plans:20 ~max_crash_depth:d.d_max_crash_depth
            ~f:(fun o ->
              if History.crash_count o.history > 0 then incr multi_era;
-             compare_scan c o.history;
-             compare_scan c (damage g o.history))
+             compare_scans c o.history;
+             compare_scans c (damage g o.history))
            ()))
     (Workloads.Scenarios.durable_all ());
   check_bool "crash markers scanned" true (!multi_era > 0);
   check_bool "well-formed histories scanned" true (c.ok > 0)
+
+(* Hand-written histories at [max_int]: the same id invokes in two eras, a
+   stale response after a crash, neighbouring ids, and a double invocation. *)
+let test_scan_hostile_tids () =
+  let c = { ok = 0; errors = [] } in
+  let big = max_int in
+  List.iter (compare_scan c)
+    [
+      History.of_list [ inv big (vi 1); Action.crash ~epoch:1; inv big (vi 2); res big (ok_int 3) ];
+      History.of_list [ inv big (vi 1); inv 0 (vi 2); Action.crash ~epoch:1; res big (ok_int 2) ];
+      History.of_list [ inv big (vi 1); inv (big - 1) (vi 2); res (big - 1) (ok_int 1); res big (ok_int 2) ];
+      History.of_list [ inv big (vi 1); inv big (vi 2) ];
+    ];
+  check_bool "well-formed histories scanned" true (c.ok > 0);
+  List.iter
+    (fun k -> check_bool ("error reached: " ^ k) true (List.mem k c.errors))
+    [ "invokes while pending"; "no pending invocation" ]
 
 let () =
   Alcotest.run "history"
@@ -268,6 +304,7 @@ let () =
         [
           t "matches the reference on generated histories" test_scan_generated;
           t "matches the reference on crash histories" test_scan_crash_histories;
+          t "matches the reference on hostile thread ids" test_scan_hostile_tids;
         ] );
       ( "completions",
         [

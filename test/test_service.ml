@@ -149,6 +149,34 @@ let test_concurrent_window_rejected () =
   Alcotest.(check int) "violation flagged" 1
     (count_events (violation_for "E") evs)
 
+(* Thread ids at the top of the int range get the verdicts small ids get:
+   a concurrent exchange pair commits, a bad one is a violation, and a
+   concurrent counter window commits. *)
+let test_hostile_thread_ids () =
+  let a = max_int and b = max_int - 1 and c = 1_000_000_000 in
+  let frames =
+    [
+      Fmt.str "t%d inv E.exchange 3" a;
+      Fmt.str "t%d inv E.exchange 4" b;
+      Fmt.str "t%d res E.exchange (true, 4)" a;
+      Fmt.str "t%d res E.exchange (true, 3)" b;
+      Fmt.str "t%d inv C.incr ()" a;
+      Fmt.str "t%d inv C.incr ()" c;
+      Fmt.str "t%d res C.incr 1" a;
+      Fmt.str "t%d res C.incr 0" c;
+      Fmt.str "t%d inv E2.exchange 3" a;
+      Fmt.str "t%d inv E2.exchange 4" b;
+      Fmt.str "t%d res E2.exchange (true, 9)" a;
+      Fmt.str "t%d res E2.exchange (true, 3)" b;
+    ]
+  in
+  let _, evs = run (mk ()) (lines frames) in
+  Alcotest.(check int) "no rejected frames" 0 (count_events is_error evs);
+  Alcotest.(check int) "exchange pair commits" 1 (count_events (committed_for "E") evs);
+  Alcotest.(check int) "counter window commits" 1 (count_events (committed_for "C") evs);
+  Alcotest.(check int) "bad pair flagged" 1 (count_events (violation_for "E2") evs);
+  Alcotest.(check int) "no other violation" 1 (count_events (function Proto.Violation _ -> true | _ -> false) evs)
+
 (* --------------------------------------------------- fault containment -- *)
 
 let hostile_frames =
@@ -658,6 +686,7 @@ let () =
           t "concurrent window rejected" test_concurrent_window_rejected;
           t "concurrent window commits its final state"
             test_concurrent_window_commits_state;
+          t "hostile thread ids" test_hostile_thread_ids;
         ] );
       ( "containment",
         [
