@@ -1,4 +1,4 @@
-.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke perf-ab ci clean
+.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke bench-figures-unchanged fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke perf-ab ci clean
 
 all: build
 
@@ -93,6 +93,11 @@ bench-serve-durable:
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 
+# Reduced bench runs write to _build/bench-smoke/: the committed
+# BENCH_*.json figures must come out of them untouched.
+bench-figures-unchanged:
+	git diff --exit-code -- 'BENCH_*.json'
+
 # Pipe the fixture stream (valid + malformed + crash-marker frames)
 # through `calc serve` and assert the event transcript byte-for-byte.
 serve-smoke:
@@ -134,7 +139,7 @@ PAIRS ?= 10
 perf-ab:
 	python3 scripts/perf_ab.py --rev $(REV) --workload $(WORKLOAD) --pairs $(PAIRS)
 
-ci: build test cross-check-dpor check-parallel fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke
+ci: build test cross-check-dpor check-parallel bench-smoke bench-figures-unchanged fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke
 
 # dune clean only touches _build; the committed BENCH_*.json figures in the
 # repo root are regenerated by bench targets, never deleted here.

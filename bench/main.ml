@@ -712,7 +712,8 @@ let figure_crash () =
    The B14 preamble also micro-asserts that the accumulator-based
    [Cal_checker.subsets_up_to] rewrite preserved the checker's search
    exactly: [states_explored] on fixed seeded exchanger histories must
-   equal the values recorded before the rewrite. *)
+   equal the values recorded before the rewrite. test_checkers runs the
+   same assertion under [dune runtest]. *)
 let figure_parallel () =
   (* recorded with the pre-rewrite quadratic subsets_up_to; the rewrite
      must not change the enumeration, hence not the search *)

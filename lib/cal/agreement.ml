@@ -6,8 +6,8 @@ type witness = { assignment : (History.entry * int) list }
    strictly below [k]; this both enforces [i ≺H j ⟹ π(i) < π(j)] and makes
    the operations inside one element pairwise concurrent. Identical
    operations are interchangeable, so matching an element's multiset
-   requires backtracking. *)
-let check_entries entries trace =
+   requires backtracking. The result is each entry's position. *)
+let assign entries trace =
   let n = Array.length entries in
   let ops_of_trace = Ca_trace.ops trace in
   if not (History.all_returned entries) then Error "history is not complete"
@@ -53,15 +53,21 @@ let check_entries entries trace =
       if k >= Array.length elements then Array.for_all (fun p -> p <> -1) assigned
       else match_element k (Ca_trace.element_ops elements.(k))
     in
-    if place 0 then
-      Ok
-        {
-          assignment =
-            List.init n (fun i -> (entries.(i), assigned.(i)))
-            |> List.sort (fun (_, a) (_, b) -> Int.compare a b);
-        }
+    if place 0 then Ok assigned
     else Error "no surjection explains the history by the trace"
   end
+
+let decide_entries entries trace = Result.map ignore (assign entries trace)
+
+let check_entries entries trace =
+  Result.map
+    (fun assigned ->
+      {
+        assignment =
+          List.init (Array.length entries) (fun i -> (entries.(i), assigned.(i)))
+          |> List.sort (fun (_, a) (_, b) -> Int.compare a b);
+      })
+    (assign entries trace)
 
 let check h trace =
   match History.scan h with

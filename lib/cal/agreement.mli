@@ -24,5 +24,9 @@ val check_entries : History.entry array -> Ca_trace.t -> (witness, string) resul
     result. A pending entry yields the [Error] of an incomplete
     history. *)
 
+val decide_entries : History.entry array -> Ca_trace.t -> (unit, string) result
+(** [decide_entries es t] is [check_entries es t] without building the
+    witness: the same verdict and the same [Error] messages. *)
+
 val agrees : History.t -> Ca_trace.t -> bool
 (** [agrees h t] is [Result.is_ok (check h t)]. *)

@@ -30,15 +30,6 @@ let subsets_up_to k xs =
   in
   List.filter (fun s -> s <> []) (go [] k xs [])
 
-(* All ways of assigning one candidate return to every pending entry of a
-   tentative element. Produces lists aligned with [pendings]. *)
-let rec ret_assignments = function
-  | [] -> [ [] ]
-  | cands :: rest ->
-      List.concat_map
-        (fun ret -> List.map (fun tail -> ret :: tail) (ret_assignments rest))
-        cands
-
 let universe_of_entries entries =
   let values =
     Array.fold_right
@@ -59,32 +50,34 @@ module Failed = Hashtbl.Make (struct
   let hash ((d, k) : t) = Hashtbl.hash k lxor (d * 0x9E3779B1)
 end)
 
-(* Intern each entry's (object, era) pair to a small int, in order of first
-   appearance. *)
-let group_ids (entries : History.entry array) =
-  let seen = ref [] in
-  Array.map
-    (fun (e : History.entry) ->
-      let rec find = function
-        | [] ->
-            let g = List.length !seen in
-            seen := (e.oid, e.era, g) :: !seen;
-            g
-        | (o, era, g) :: rest ->
-            if era = e.era && Ids.Oid.equal o e.oid then g else find rest
-      in
-      find !seen)
-    entries
+(* [submasks f chosen hi k rest i] calls [f s hi'] on the non-empty masks
+   [s] = [chosen] plus at most [k] bits of [rest] (whose bits are all at
+   most [i]), with [hi'] the highest bit of [s], and returns the first
+   [Some]. Reading [rest]'s bits from the highest down as a list, the
+   order is {!subsets_up_to}'s: masks with a bit before masks without it.
+   At [k = 1] it is a loop over [rest]'s bits, highest first. *)
+let rec submasks f chosen hi k rest i =
+  if k = 0 || rest = 0 then if chosen = 0 then None else f chosen hi
+  else
+    let bit = 1 lsl i in
+    if rest land bit = 0 then submasks f chosen hi k rest (i - 1)
+    else
+      let rest = rest lxor bit in
+      match
+        submasks f (chosen lor bit) (if chosen = 0 then i else hi) (k - 1) rest (i - 1)
+      with
+      | Some _ as r -> r
+      | None -> submasks f chosen hi k rest (i - 1)
 
-(* [take g groups] is the members of group [g] in [groups] (empty when
-   absent) and [groups] without it, the others in their order. *)
-let rec take g = function
-  | [] -> ([], [])
-  | ((g', members) as x) :: rest ->
-      if Int.equal g g' then (members, rest)
-      else
-        let members, rest = take g rest in
-        (members, x :: rest)
+let submasks_up_to k m =
+  let acc = ref [] in
+  ignore
+    (submasks
+       (fun s _ ->
+         acc := s :: !acc;
+         None)
+       0 0 k m 62);
+  List.rev !acc
 
 let check ?crashed ~spec h =
   let entries =
@@ -98,7 +91,6 @@ let check ?crashed ~spec h =
      call. The universe is only needed to complete a pending operation. *)
   let op = Array.map History.op_of_entry entries in
   let pending = Array.map History.pending_of_entry entries in
-  let group = group_ids entries in
   let universe = lazy (universe_of_entries entries) in
   let crashes = History.crash_count h in
   (* Crash-tolerant mode: only the pending operations of crashed threads
@@ -130,6 +122,14 @@ let check ?crashed ~spec h =
   let preds =
     Array.init n (fun j -> bits (fun i -> History.precedes entries.(i) entries.(j)))
   in
+  (* Each entry's (object, era) group, as a mask. *)
+  let same_group =
+    Array.map
+      (fun (e : History.entry) ->
+        bits (fun j -> entries.(j).era = e.era && Ids.Oid.equal entries.(j).oid e.oid))
+      entries
+  in
+  let max_size = spec.Spec.max_element_size in
   let full = (1 lsl n) - 1 in
   let states_explored = ref 0 in
   let memo_hits = ref 0 in
@@ -141,144 +141,174 @@ let check ?crashed ~spec h =
       drop_sets_tried = !drop_moves;
     }
   in
+  let available decided =
+    let m = ref 0 in
+    for i = 0 to n - 1 do
+      if decided land (1 lsl i) = 0 && preds.(i) land lnot decided = 0 then
+        m := !m lor (1 lsl i)
+    done;
+    !m
+  in
+  (* Created on the first failed state: a history whose search never
+     backtracks pays for no table, and no state prints its specification
+     key before a table exists or a failure is recorded. *)
+  let failed = ref None in
+  let record_failure decided acc key =
+    let t =
+      match !failed with
+      | Some t -> t
+      | None ->
+          let t = Failed.create (Tuning.checker_table_size ~ops:n) in
+          failed := Some t;
+          t
+    in
+    let key = match key with Some k -> k | None -> Spec.key acc in
+    Failed.replace t (decided, key) ()
+  in
   (* One DFS decides the completion and the trace together. [decided] is
      the bitmask of operations already placed in an element or dropped;
      an operation is available once all its predecessors are decided, so
      a dropped operation releases its real-time successors. The future of
      a state depends only on [decided] and the acceptor, hence the memo
      key. The search returns the trace, its final acceptor, the dropped
-     mask and the chosen returns of kept pending operations. *)
-  (* Created on the first failed state: a history whose search never
-     backtracks pays for no table. *)
-  let failed = ref None in
+     mask and the chosen returns of kept pending operations.
+
+     A state's moves read only masks and the compiled arrays. Place-moves
+     come first, in the order that fixes the witness of a history with
+     nothing to drop. Groups are (object, era) pairs: a CA-element must
+     never straddle a crash marker. The era-aware [precedes] already
+     forces the available operations to be era-uniform (a later-era
+     operation waits for every earlier-era one), but the group makes the
+     invariant structural rather than a consequence of the search order.
+     Scanning the available mask from the newest operation down visits
+     the group of the latest available operation first; within a group,
+     [submasks] enumerates the elements of at most [max_element_size]
+     members, newest member first. Drop-moves come only after every
+     placement from the state has failed, in ascending operation order. *)
   let rec dfs decided dropped acc acc_trace rets =
     if decided = full then Some (List.rev acc_trace, acc, dropped, rets)
-    else begin
-      let memo_key = (decided, Spec.key acc) in
-      if match !failed with None -> false | Some t -> Failed.mem t memo_key then begin
+    else
+      let key, seen =
+        match !failed with
+        | None -> (None, false)
+        | Some t ->
+            let k = Spec.key acc in
+            (Some k, Failed.mem t (decided, k))
+      in
+      if seen then begin
         incr memo_hits;
         None
       end
       else begin
         incr states_explored;
-        let avail = ref [] in
-        for i = n - 1 downto 0 do
-          if decided land (1 lsl i) = 0 && preds.(i) land lnot decided = 0 then
-            avail := i :: !avail
-        done;
-        let avail = !avail in
-        (* Group by (object, era): a CA-element must never straddle a
-           crash marker. The era-aware [precedes] already forces [avail]
-           to be era-uniform (a later-era operation waits for every
-           earlier-era one), but the key makes the invariant structural
-           rather than a consequence of the search order. The group of
-           the latest available operation comes first, members
-           newest-first. *)
-        let by_group =
-          List.fold_left
-            (fun groups i ->
-              let g = group.(i) in
-              let cur, rest = take g groups in
-              (g, i :: cur) :: rest)
-            [] avail
-        in
-        let try_subset subset =
-          let fixed, pend = List.partition (fun i -> Option.is_some op.(i)) subset in
-          let fixed_ops = List.map (fun i -> Option.get op.(i)) fixed in
-          let cand_lists =
-            List.map
-              (fun i ->
-                Spec.candidates acc ~universe:(Lazy.force universe) pending.(i))
-              pend
-          in
-          let try_assignment pend_rets =
-            let pend_ops =
-              List.map2 (fun i ret -> Op.of_pending pending.(i) ~ret) pend pend_rets
-            in
-            let elem =
-              match (fixed_ops, pend_ops) with
-              | [ o ], [] | [], [ o ] -> Ca_trace.singleton o
-              | _ -> Ca_trace.element entries.(List.hd subset).History.oid (fixed_ops @ pend_ops)
-            in
-            match Spec.step acc elem with
-            | None -> None
-            | Some acc' ->
-                let decided' =
-                  List.fold_left (fun m i -> m lor (1 lsl i)) decided subset
-                in
-                dfs decided' dropped acc' (elem :: acc_trace)
-                  (List.rev_append (List.combine pend pend_rets) rets)
-          in
-          List.find_map try_assignment (ret_assignments cand_lists)
-        in
-        let drop i =
-          let bit = 1 lsl i in
-          if droppable_mask land bit = 0 then None
-          else begin
-            incr drop_moves;
-            dfs (decided lor bit) (dropped lor bit) acc acc_trace rets
-          end
-        in
-        (* Place-moves first, in the order that fixes the witness of a
-           history with nothing to drop; drop-moves only after every
-           placement from this state has failed. *)
+        let avail = available decided in
         let result =
           match
-            List.find_map
-              (fun (_, members) ->
-                List.find_map try_subset
-                  (subsets_up_to spec.Spec.max_element_size members))
-              by_group
+            place_groups
+              (place_subset decided dropped acc acc_trace rets)
+              avail (n - 1)
           with
           | Some _ as r -> r
-          | None -> List.find_map drop avail
+          | None -> drop_from decided dropped acc acc_trace rets (avail land droppable_mask) 0
         in
-        if result = None then begin
-          let t =
-            match !failed with
-            | Some t -> t
-            | None ->
-                let t = Failed.create (Tuning.checker_table_size ~ops:n) in
-                failed := Some t;
-                t
-          in
-          Failed.replace t memo_key ()
-        end;
+        if Option.is_none result then record_failure decided acc key;
         result
       end
-    end
+  (* The groups of [remaining] (bits at most [i]), newest group first. *)
+  and place_groups try_subset remaining i =
+    if remaining = 0 then None
+    else if remaining land (1 lsl i) = 0 then place_groups try_subset remaining (i - 1)
+    else
+      let members = remaining land same_group.(i) in
+      match submasks try_subset 0 0 max_size members i with
+      | Some _ as r -> r
+      | None -> place_groups try_subset (remaining lxor members) (i - 1)
+  (* Place the operations of mask [s], the highest [hi], as the next
+     element. A lone operation with a response needs no return and no
+     element validation. *)
+  and place_subset decided dropped acc acc_trace rets s hi =
+    match op.(hi) with
+    | Some o when s land (s - 1) = 0 ->
+        step_into decided dropped acc acc_trace rets s (Ca_trace.singleton o)
+    | _ -> assign decided dropped acc acc_trace rets s hi s hi []
+  (* Collect the operations of [m]'s bits (all at most [i]), newest first,
+     then place them: a pending member takes each candidate return in
+     turn, the newest pending member's choice varying slowest. *)
+  and assign decided dropped acc acc_trace rets s hi m i ops =
+    if m = 0 then
+      step_into decided dropped acc acc_trace rets s
+        (match ops with
+        | [ o ] -> Ca_trace.singleton o
+        | _ -> Ca_trace.element entries.(hi).History.oid ops)
+    else
+      let bit = 1 lsl i in
+      if m land bit = 0 then assign decided dropped acc acc_trace rets s hi m (i - 1) ops
+      else
+        match op.(i) with
+        | Some o -> assign decided dropped acc acc_trace rets s hi (m lxor bit) (i - 1) (o :: ops)
+        | None ->
+            let p = pending.(i) in
+            let rec try_rets = function
+              | [] -> None
+              | ret :: more -> (
+                  match
+                    assign decided dropped acc acc_trace ((i, ret) :: rets) s hi
+                      (m lxor bit) (i - 1)
+                      (Op.of_pending p ~ret :: ops)
+                  with
+                  | Some _ as r -> r
+                  | None -> try_rets more)
+            in
+            try_rets (Spec.candidates acc ~universe:(Lazy.force universe) p)
+  and step_into decided dropped acc acc_trace rets s elem =
+    match Spec.step acc elem with
+    | None -> None
+    | Some acc' -> dfs (decided lor s) dropped acc' (elem :: acc_trace) rets
+  (* Drop the droppable available operations of [m] (bits at least [i]),
+     lowest first. *)
+  and drop_from decided dropped acc acc_trace rets m i =
+    if m = 0 then None
+    else
+      let bit = 1 lsl i in
+      if m land bit = 0 then drop_from decided dropped acc acc_trace rets m (i + 1)
+      else begin
+        incr drop_moves;
+        match dfs (decided lor bit) (dropped lor bit) acc acc_trace rets with
+        | Some _ as r -> r
+        | None -> drop_from decided dropped acc acc_trace rets (m lxor bit) (i + 1)
+      end
   in
   match dfs 0 0 spec.Spec.start [] [] with
   | Some (trace, final, dropped, rets) ->
       (* Rebuild the completion: remove dropped invocations, append the
-         chosen responses for kept pending operations. *)
-      let dropped_inv =
-        List.filter_map
-          (fun i ->
-            if dropped land (1 lsl i) <> 0 then Some entries.(i).History.inv_index
-            else None)
-          (List.init n Fun.id)
+         chosen responses for kept pending operations. A history with
+         neither is its own completion. *)
+      let completion =
+        if dropped = 0 && rets = [] then h
+        else
+          let dropped_inv =
+            List.filter_map
+              (fun i ->
+                if dropped land (1 lsl i) <> 0 then Some entries.(i).History.inv_index
+                else None)
+              (List.init n Fun.id)
+          in
+          let kept_actions =
+            History.to_list h
+            |> List.filteri (fun idx _ -> not (List.mem idx dropped_inv))
+          in
+          let appended =
+            List.filter_map
+              (fun i ->
+                let e = entries.(i) in
+                Option.map
+                  (fun ret -> (e.era, Action.res ~tid:e.tid ~oid:e.oid ~fid:e.fid ret))
+                  (List.assoc_opt i rets))
+              (List.init n Fun.id)
+          in
+          History.with_responses kept_actions appended
       in
-      let kept_actions =
-        History.to_list h
-        |> List.filteri (fun idx _ -> not (List.mem idx dropped_inv))
-      in
-      let appended =
-        List.filter_map
-          (fun i ->
-            let e = entries.(i) in
-            Option.map
-              (fun ret -> (e.era, Action.res ~tid:e.tid ~oid:e.oid ~fid:e.fid ret))
-              (List.assoc_opt i rets))
-          (List.init n Fun.id)
-      in
-      Accepted
-        {
-          trace;
-          completion = History.with_responses kept_actions appended;
-          final;
-          stats = stats ();
-        }
+      Accepted { trace; completion; final; stats = stats () }
   | None ->
       Rejected
         {

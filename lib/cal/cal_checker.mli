@@ -24,18 +24,24 @@
 
     {b Compiled history.} Each call scans [h] once ({!History.scan}) and
     compiles what the search reads into per-call arrays: every entry's
-    {!Op.t} and {!Op.pending}, the predecessor bitmasks, the droppable
-    mask, and each entry's (object, era) group interned to an int. The
+    {!Op.t} and {!Op.pending}, and bitmasks of each entry's predecessors
+    and (object, era) group and of the droppable entries. The
     value universe that {!Spec.candidates} draws returns from is built on
     the first call that completes a pending operation, and the
     failed-state table is keyed on (decided mask, {!Spec.key}) without
     polymorphic comparison. After that the search touches neither the
-    history nor its entries' identifiers.
+    history nor its entries' identifiers, and a search step builds no
+    list of its moves: the available operations are a mask, and a
+    group's elements are submasks of its member mask. A state prints its
+    specification key only once a failed state has been recorded.
 
     {b Witness order.} From every state the search tries all place moves
     before any drop move. Place moves go through the available operations'
-    (object, era) groups, then {!subsets_up_to} within a group, then the
-    assignments of candidate returns to the element's pending operations.
+    (object, era) groups, the group of the newest available operation
+    first, then the group's elements in {!subsets_up_to}'s order over its
+    members newest first ({!submasks_up_to}), then the assignments of
+    candidate returns to the element's pending operations. Drop moves go
+    through the droppable available operations oldest first.
     On a history with nothing droppable the search therefore visits the
     same states in the same order as a search that never drops. When a
     pending operation can be dropped, the first witness found is not
@@ -96,5 +102,11 @@ val subsets_up_to : int -> 'a list -> 'a list list
     enumeration order decides which witness the search finds first, so it
     is part of the checker's contract. {!Interval_lin} enumerates its
     rounds with it too. *)
+
+val submasks_up_to : int -> int -> int list
+(** [submasks_up_to k m] is the non-empty submasks of [m >= 0] with at
+    most [k] bits, in the order the search enumerates a group's elements:
+    {!subsets_up_to}'s order over [m]'s bits listed from the highest
+    down. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -1,8 +1,13 @@
-type acceptor = {
-  a_step : Ca_trace.element -> acceptor option;
-  a_key : string;
-  a_candidates : universe:Value.t list -> Op.pending -> Value.t list;
+(* The state machine of one specification, shared by all its acceptors. *)
+type 's machine = {
+  m_step : 's -> Ca_trace.element -> 's option;
+  m_key : 's -> string;
+  m_candidates : 's -> universe:Value.t list -> Op.pending -> Value.t list;
 }
+
+(* A state paired with its machine: stepping allocates the pair and
+   nothing else, and the key is printed only when asked for. *)
+type acceptor = Acceptor : 's machine * 's -> acceptor
 
 type t = {
   name : string;
@@ -12,31 +17,27 @@ type t = {
   resume_key : string -> acceptor option;
 }
 
-let step a e = a.a_step e
-let key a = a.a_key
-let candidates a ~universe p = a.a_candidates ~universe p
+let step (Acceptor (m, s)) e =
+  match m.m_step s e with None -> None | Some s' -> Some (Acceptor (m, s'))
+
+let key (Acceptor (m, s)) = m.m_key s
+let candidates (Acceptor (m, s)) ~universe p = m.m_candidates s ~universe p
 let resume t k = t.resume_key k
 
 let make ~name ~owns ~max_element_size ~init ~step ~key ?resume ~candidates ()
     =
-  let rec acceptor s =
-    {
-      a_step = (fun e -> Option.map acceptor (step s e));
-      a_key = key s;
-      a_candidates = (fun ~universe p -> candidates s ~universe p);
-    }
-  in
+  let m = { m_step = step; m_key = key; m_candidates = candidates } in
   let resume_key =
     match resume with
     | None -> fun _ -> None
-    | Some of_key -> fun k -> Option.map acceptor (of_key k)
+    | Some of_key -> fun k -> Option.map (fun s -> Acceptor (m, s)) (of_key k)
   in
-  { name; owns; max_element_size; start = acceptor init; resume_key }
+  { name; owns; max_element_size; start = Acceptor (m, init); resume_key }
 
 let accepts spec tr =
   let rec go a = function
     | [] -> true
-    | e :: rest -> ( match a.a_step e with None -> false | Some a' -> go a' rest)
+    | e :: rest -> ( match step a e with None -> false | Some a' -> go a' rest)
   in
   go spec.start tr
 
@@ -44,7 +45,7 @@ let explain_rejection spec tr =
   let rec go a i = function
     | [] -> None
     | e :: rest -> (
-        match a.a_step e with
+        match step a e with
         | None ->
             Some
               (Fmt.str "element %d rejected by %s: %a" i spec.name Ca_trace.pp_element e)
@@ -52,27 +53,26 @@ let explain_rejection spec tr =
   in
   go spec.start 0 tr
 
+(* A union's state is its members' acceptors, in member order. *)
 let union specs =
   if specs = [] then invalid_arg "Spec.union: empty list";
   let indexed = List.mapi (fun i s -> (i, s)) specs in
   let owners oid = List.filter (fun (_, s) -> s.owns oid) indexed in
-  let rec acceptor states =
+  let m =
     {
-      a_step =
-        (fun e ->
+      m_step =
+        (fun states e ->
           match owners (Ca_trace.element_oid e) with
           | [ (idx, _) ] ->
-              let a = List.nth states idx in
               Option.map
-                (fun a' ->
-                  acceptor (List.mapi (fun i x -> if i = idx then a' else x) states))
-                (a.a_step e)
+                (fun a' -> List.mapi (fun i x -> if i = idx then a' else x) states)
+                (step (List.nth states idx) e)
           | _ -> None);
-      a_key = String.concat "|" (List.map (fun a -> a.a_key) states);
-      a_candidates =
-        (fun ~universe (p : Op.pending) ->
+      m_key = (fun states -> String.concat "|" (List.map key states));
+      m_candidates =
+        (fun states ~universe (p : Op.pending) ->
           match owners p.oid with
-          | [ (idx, _) ] -> (List.nth states idx).a_candidates ~universe p
+          | [ (idx, _) ] -> candidates (List.nth states idx) ~universe p
           | _ -> []);
     }
   in
@@ -81,7 +81,7 @@ let union specs =
     owns = (fun oid -> List.exists (fun s -> s.owns oid) specs);
     max_element_size =
       List.fold_left (fun m s -> max m s.max_element_size) 1 specs;
-    start = acceptor (List.map (fun s -> s.start) specs);
+    start = Acceptor (m, List.map (fun s -> s.start) specs);
     (* Member keys may themselves contain the separator, so the joined
        key is not invertible: unions are never resumable. *)
     resume_key = (fun _ -> None);

@@ -8,7 +8,9 @@
     completing histories (Definition 2 allows adding response actions). *)
 
 type acceptor
-(** A specification frozen at some state. *)
+(** A specification frozen at some state: the state paired with the
+    specification's state machine, which every acceptor of one
+    specification shares. *)
 
 type t = {
   name : string;
@@ -26,7 +28,9 @@ val step : acceptor -> Ca_trace.element -> acceptor option
 
 val key : acceptor -> string
 (** A memoisation key identifying the acceptor state: two acceptors with the
-    same key accept the same continuations. *)
+    same key accept the same continuations. The key is printed on demand,
+    at every call: {!step} never prints it, so a caller that never asks
+    pays nothing for it. *)
 
 val resume : t -> string -> acceptor option
 (** [resume spec k] rebuilds the acceptor whose {!key} is [k], for

@@ -329,20 +329,33 @@ let bump tbl key v =
 let candidate_learner ?(delay_factors = []) () =
   let thread_max : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let label_max : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  (* One outcome's occurrence counts: a counter per thread, indexed by
+     the thread's position in the program, and one per fallible label in
+     a short association list. *)
   let learn (o : Runner.outcome) =
-    let per_thread = Hashtbl.create 8 in
+    let threads =
+      List.fold_left (fun m (d : Runner.decision) -> max m (d.thread + 1)) 0 o.Runner.schedule
+    in
+    let per_thread = Array.make threads 0 in
     List.iter
       (fun (d : Runner.decision) ->
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt per_thread d.thread) in
-        Hashtbl.replace per_thread d.thread n;
+        let n = per_thread.(d.thread) + 1 in
+        per_thread.(d.thread) <- n;
         bump thread_max d.thread n)
       o.Runner.schedule;
-    let per_label = Hashtbl.create 8 in
+    let per_label = ref [] in
     List.iter
       (fun l ->
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt per_label l) in
-        Hashtbl.replace per_label l n;
-        bump label_max l n)
+        let count =
+          match List.assoc_opt l !per_label with
+          | Some count -> count
+          | None ->
+              let count = ref 0 in
+              per_label := (l, count) :: !per_label;
+              count
+        in
+        incr count;
+        bump label_max l !count)
       o.Runner.fallible_steps
   in
   let candidates () =

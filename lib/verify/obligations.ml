@@ -182,7 +182,7 @@ let reconcile h trace =
 (* The completion's entries, without rebuilding the history. Kept entries
    keep their positions and adopted responses take positions [n], [n+1], …
    after every action of [h], which preserves {!History.precedes}, all
-   {!Agreement.check_entries} reads. [None] when an operation of an era
+   {!Agreement.decide_entries} reads. [None] when an operation of an era
    before the last adopts a response: [reconcile] appends that response
    after a crash marker, which closes every open call ({!History.scan}),
    so the rebuilt completion is ill-formed. *)
@@ -223,7 +223,7 @@ let check_outcome ~spec ~view (outcome : Conc.Runner.outcome) =
           match completion_entries outcome.history entries rets with
           | None -> Error "agreement obligation: history is not complete"
           | Some completion -> (
-              match Agreement.check_entries completion viewed with
+              match Agreement.decide_entries completion viewed with
               | Error msg -> Error ("agreement obligation: " ^ msg)
               | Ok _ -> Ok ())))
 

@@ -41,6 +41,7 @@ type tally = {
   mutable dropped : int;  (** accepted completions that drop an operation *)
   mutable crashed : int;  (** checked with a non-empty [~crashed] *)
   mutable multi_era : int;
+  mutable multi_op : int;  (** accepted witnesses with a multi-op element *)
 }
 
 let tally () =
@@ -51,6 +52,7 @@ let tally () =
     dropped = 0;
     crashed = 0;
     multi_era = 0;
+    multi_op = 0;
   }
 
 let guard f = match f () with v -> Some v | exception Invalid_argument _ -> None
@@ -76,6 +78,8 @@ let compare_one (c : tally) ?crashed ~spec h =
   | None, None -> ()
   | Some (Cal_checker.Accepted a), Some (Oracle.Accepted o) ->
       c.accepted <- c.accepted + 1;
+      if List.exists (fun e -> Ca_trace.element_size e > 1) a.trace then
+        c.multi_op <- c.multi_op + 1;
       if List.length (History.entries a.completion) < List.length (History.entries h)
       then c.dropped <- c.dropped + 1;
       agrees what a.completion a.trace;
@@ -141,6 +145,7 @@ let test_generated () =
       kinds
   done;
   expect_some "accepted" c.accepted;
+  expect_some "multi-op witness" c.multi_op;
   expect_some "rejected" c.rejected;
   expect_some "pending" c.pending
 

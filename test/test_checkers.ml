@@ -276,6 +276,28 @@ let test_search_counts_pinned () =
   Alcotest.(check int) "memo_hits" 9_432 !memo;
   Alcotest.(check int) "drop_sets_tried" 9_528 !drops
 
+(* Bench B14's preamble histories: seeded exchanger histories of 2, 4 and
+   6 elements over 4 threads. Each is explained without backtracking, one
+   state per element, so a change of the k = 2 element enumeration order
+   that makes the search backtrack fails here. *)
+let test_exchanger_search_pinned () =
+  List.iter
+    (fun (elements, expect) ->
+      let g = Workloads.Gen.create ~seed:11L in
+      let h =
+        Workloads.Gen.history_of_trace g
+          (Workloads.Gen.exchanger_trace g ~oid:e_oid ~threads:4 ~elements)
+      in
+      let stats =
+        match Cal_checker.check ~spec:ex_spec h with
+        | Cal_checker.Accepted { stats; _ } -> stats
+        | Cal_checker.Rejected { stats; _ } -> stats
+      in
+      Alcotest.(check int)
+        (Fmt.str "%d elements: states_explored" elements)
+        expect stats.states_explored)
+    [ (2, 2); (4, 4); (6, 6) ]
+
 let () =
   Alcotest.run "checkers"
     [
@@ -313,6 +335,8 @@ let () =
           t "populated" test_stats_populated;
           t "final acceptor is the witness's" test_final_acceptor;
           t "search counts pinned on faulty-elim-stack-1p4c" test_search_counts_pinned;
+          t "search counts pinned on B14's exchanger histories"
+            test_exchanger_search_pinned;
         ] );
       ( "properties",
         [

@@ -430,6 +430,34 @@ let test_subsets_up_to_reference () =
         (Cal_checker.subsets_up_to k xs = reference k xs))
     [ (0, 3); (1, 4); (2, 5); (3, 3); (5, 5); (2, 0); (7, 3) ]
 
+(* The search enumerates a group's elements over its member mask: the
+   same subsets in the same order as [subsets_up_to] and the naive
+   reference over the mask's bits read from the highest down. *)
+let test_submasks_reference () =
+  let rec reference k = function
+    | [] -> [ [] ]
+    | x :: rest ->
+        let without = reference k rest in
+        if k = 0 then without
+        else List.map (fun s -> x :: s) (reference (k - 1) rest) @ without
+  in
+  let bits m = List.filter (fun i -> m land (1 lsl i) <> 0) (List.init 8 (fun i -> 7 - i)) in
+  let mask = List.fold_left (fun m i -> m lor (1 lsl i)) 0 in
+  for k = 1 to 4 do
+    let differs f =
+      List.filter
+        (fun m -> Cal_checker.submasks_up_to k m <> List.map mask (f (bits m)))
+        (List.init 256 Fun.id)
+    in
+    Alcotest.(check (list int))
+      (Fmt.str "k = %d: masks whose order differs from subsets_up_to" k)
+      [] (differs (Cal_checker.subsets_up_to k));
+    Alcotest.(check (list int))
+      (Fmt.str "k = %d: masks whose order differs from the naive one" k)
+      []
+      (differs (fun xs -> List.filter (( <> ) []) (reference k xs)))
+  done
+
 let () =
   Alcotest.run "parallel"
     [
@@ -460,6 +488,8 @@ let () =
             test_bounded_domain_invariant;
           t "subsets_up_to matches the naive enumeration order"
             test_subsets_up_to_reference;
+          t "submasks_up_to matches the subset enumeration order"
+            test_submasks_reference;
           t "pp_report names the resolved config"
             test_report_names_resolved_config;
         ] );
