@@ -88,7 +88,8 @@ let check ?crashed ~spec h =
   let n = Array.length entries in
   if n > 62 then invalid_arg "Cal_checker.check: more than 62 operations";
   (* The compiled history: everything the search reads, built once per
-     call. The universe is only needed to complete a pending operation. *)
+     call. The universe is built only if a specification's candidates
+     force it. *)
   let op = Array.map History.op_of_entry entries in
   let pending = Array.map History.pending_of_entry entries in
   let universe = lazy (universe_of_entries entries) in
@@ -259,7 +260,7 @@ let check ?crashed ~spec h =
                   | Some _ as r -> r
                   | None -> try_rets more)
             in
-            try_rets (Spec.candidates acc ~universe:(Lazy.force universe) p)
+            try_rets (Spec.candidates acc ~universe p)
   and step_into decided dropped acc acc_trace rets s elem =
     match Spec.step acc elem with
     | None -> None

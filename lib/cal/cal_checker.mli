@@ -26,8 +26,8 @@
     compiles what the search reads into per-call arrays: every entry's
     {!Op.t} and {!Op.pending}, and bitmasks of each entry's predecessors
     and (object, era) group and of the droppable entries. The
-    value universe that {!Spec.candidates} draws returns from is built on
-    the first call that completes a pending operation, and the
+    value universe that {!Spec.candidates} draws returns from is built
+    only if a specification's candidates force it, and the
     failed-state table is keyed on (decided mask, {!Spec.key}) without
     polymorphic comparison. After that the search touches neither the
     history nor its entries' identifiers, and a search step builds no

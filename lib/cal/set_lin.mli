@@ -13,7 +13,7 @@ val spec_of_classes :
   oid:Ids.Oid.t ->
   max_class_size:int ->
   legal_class:(Op.t list -> bool) ->
-  candidates:(universe:Value.t list -> Op.pending -> Value.t list) ->
+  candidates:(universe:Value.t list Lazy.t -> Op.pending -> Value.t list) ->
   Spec.t
 (** A stateless set-sequential specification: a trace is legal when every
     simultaneity class satisfies [legal_class]. (Stateful specifications

@@ -2,7 +2,7 @@
 type 's machine = {
   m_step : 's -> Ca_trace.element -> 's option;
   m_key : 's -> string;
-  m_candidates : 's -> universe:Value.t list -> Op.pending -> Value.t list;
+  m_candidates : 's -> universe:Value.t list Lazy.t -> Op.pending -> Value.t list;
 }
 
 (* A state paired with its machine: stepping allocates the pair and

@@ -41,13 +41,16 @@ val resume : t -> string -> acceptor option
     specification state across a process crash instead of conservatively
     desynchronising every restored session. *)
 
-val candidates : acceptor -> universe:Value.t list -> Op.pending -> Value.t list
+val candidates :
+  acceptor -> universe:Value.t list Lazy.t -> Op.pending -> Value.t list
 (** Candidate return values for completing a pending operation in this
     state. [universe] is the set of values occurring in the history under
     scrutiny (arguments, results and their components); specifications use
     it to propose returns that mention other threads' values — e.g. a
     pending [exchange(v)] may return [(true, w)] for any [w] offered by a
-    potential partner. *)
+    potential partner. It is lazy because building it walks the whole
+    history: a specification whose candidates do not depend on it (a
+    stack's pop returns its top) never forces it. *)
 
 val make :
   name:string ->
@@ -57,7 +60,7 @@ val make :
   step:('s -> Ca_trace.element -> 's option) ->
   key:('s -> string) ->
   ?resume:(string -> 's option) ->
-  candidates:('s -> universe:Value.t list -> Op.pending -> Value.t list) ->
+  candidates:('s -> universe:Value.t list Lazy.t -> Op.pending -> Value.t list) ->
   unit ->
   t
 (** Build a specification from an explicit state machine. [resume] is

@@ -54,6 +54,6 @@ let spec ?(oid = Oid.v "DQ") () =
         ::
         (match queued with
         | front :: _ -> [ front ]
-        | [] -> universe (* a waiting deq may be fulfilled with any value *))
+        | [] -> Lazy.force universe (* a waiting deq may be fulfilled with any value *))
       else [])
     ()

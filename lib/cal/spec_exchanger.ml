@@ -41,6 +41,6 @@ let spec ?(oid = Oid.v "E") () =
     ~resume:(function "" -> Some () | _ -> None)
     ~candidates:(fun () ~universe (p : Op.pending) ->
       if Fid.equal p.fid fid_exchange then
-        Value.fail p.arg :: Value.timeout p.arg :: List.map Value.ok universe
+        Value.fail p.arg :: Value.timeout p.arg :: List.map Value.ok (Lazy.force universe)
       else [])
     ()

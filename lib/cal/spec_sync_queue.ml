@@ -54,6 +54,6 @@ let spec ?(oid = Oid.v "SQ") () =
       else if Fid.equal p.fid fid_take then
         Value.fail (Value.int 0)
         :: Value.timeout Value.unit
-        :: List.map Value.ok universe
+        :: List.map Value.ok (Lazy.force universe)
       else [])
     ()

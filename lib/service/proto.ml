@@ -33,19 +33,26 @@ type event =
 let one_line s =
   String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
+(* Plain concatenation: every reply of the daemon goes through here. *)
 let print_event = function
   | Committed { oid; ops } ->
-      Fmt.str "committed oid=%a ops=%d" Ids.Oid.pp oid ops
+      String.concat ""
+        [ "committed oid="; Ids.Oid.to_string oid; " ops="; string_of_int ops ]
   | Violation { oid; op; reason } ->
-      Fmt.str "violation oid=%a op=%d reason=%s" Ids.Oid.pp oid op
-        (one_line reason)
+      String.concat ""
+        [ "violation oid="; Ids.Oid.to_string oid; " op="; string_of_int op;
+          " reason="; one_line reason ]
   | Rejected_frame { frame; reason } ->
-      Fmt.str "error frame=%d reason=%s" frame (one_line reason)
-  | Crash_seen { epoch } -> Fmt.str "crash epoch=%d" epoch
+      String.concat ""
+        [ "error frame="; string_of_int frame; " reason="; one_line reason ]
+  | Crash_seen { epoch } -> "crash epoch=" ^ string_of_int epoch
   | Level_change { level; load } ->
-      Fmt.str "level level=%s load=%d" (level_to_string level) load
+      String.concat ""
+        [ "level level="; level_to_string level; " load="; string_of_int load ]
   | Session_evicted { oid; reason } ->
-      Fmt.str "evicted oid=%a reason=%s" Ids.Oid.pp oid
-        (match reason with Idle -> "idle" | Admission_pressure -> "admission")
+      String.concat ""
+        [ "evicted oid="; Ids.Oid.to_string oid; " reason=";
+          (match reason with Idle -> "idle" | Admission_pressure -> "admission") ]
   | Session_desynced { oid; reason } ->
-      Fmt.str "desynced oid=%a reason=%s" Ids.Oid.pp oid (one_line reason)
+      String.concat ""
+        [ "desynced oid="; Ids.Oid.to_string oid; " reason="; one_line reason ]

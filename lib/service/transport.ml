@@ -86,41 +86,96 @@ let finalize p =
 let max_line_bytes = 65_536
 let max_out_bytes = 262_144
 
+(* The daemon reads a connection at most this much at a time, into the
+   one read buffer of the server; the client drains its replies and
+   tops up its requests in blocks of [client_chunk]. *)
+let read_chunk = 4096
+let client_chunk = 65_536
+
+(* A growable byte buffer whose live bytes are [data.[pos .. len)]:
+   appends go at [len] and writers advance [pos]. The buffer never
+   shrinks, so a steady stream reuses it without allocating. *)
+type buf = { mutable data : Bytes.t; mutable pos : int; mutable len : int }
+
+let new_buf () = { data = Bytes.empty; pos = 0; len = 0 }
+let pending q = q.len - q.pos
+
+let consume q n =
+  q.pos <- q.pos + n;
+  if q.pos = q.len then (
+    q.pos <- 0;
+    q.len <- 0)
+
+(* Room for [n] more bytes at [len]. The live bytes move to the front
+   only when at least as many bytes were consumed before them, which
+   pays for the move; otherwise the buffer doubles. *)
+let reserve q n =
+  if q.len + n > Bytes.length q.data then (
+    let live = pending q in
+    let data =
+      if live + n <= Bytes.length q.data && q.pos >= live then q.data
+      else Bytes.create (max (live + n) (max 256 (2 * Bytes.length q.data)))
+    in
+    Bytes.blit q.data q.pos data 0 live;
+    q.data <- data;
+    q.pos <- 0;
+    q.len <- live)
+
+let add_subbytes q b off n =
+  reserve q n;
+  Bytes.blit b off q.data q.len n;
+  q.len <- q.len + n
+
+let add_line q s =
+  let n = String.length s in
+  reserve q (n + 1);
+  Bytes.blit_string s 0 q.data q.len n;
+  Bytes.set q.data (q.len + n) '\n';
+  q.len <- q.len + n + 1
+
 type conn = {
   fd : Unix.file_descr;
-  mutable inacc : string;  (* bytes received, not yet split into lines *)
-  mutable outbuf : string;  (* reply bytes not yet written *)
+  part : buf;  (* an unterminated line, received across earlier reads *)
+  out : buf;  (* reply bytes not yet written *)
   mutable in_eof : bool;
 }
 
-let render_events evs =
-  String.concat "" (List.map (fun e -> Proto.print_event e ^ "\n") evs)
+let rec index_newline b i n =
+  if i >= n then -1
+  else if Bytes.unsafe_get b i = '\n' then i
+  else index_newline b (i + 1) n
 
-(* Split complete lines out of the connection's accumulator and feed
-   them; [Error ()] means the peer is hostile (unterminated line past
-   the transport cap) and must be dropped. *)
-let feed_conn pump c =
-  let rec go () =
-    match String.index_opt c.inacc '\n' with
-    | Some i ->
-        let line = String.sub c.inacc 0 i in
-        c.inacc <-
-          String.sub c.inacc (i + 1) (String.length c.inacc - i - 1);
-        c.outbuf <- c.outbuf ^ render_events (pump_line pump line);
-        go ()
-    | None ->
-        if String.length c.inacc > max_line_bytes then Error ()
-        else if String.length c.outbuf > max_out_bytes then Error ()
-        else Ok ()
+(* Feed one protocol line and queue its replies. *)
+let feed_line pump c line =
+  List.iter (fun e -> add_line c.out (Proto.print_event e)) (pump_line pump line)
+
+(* The line held in [c.part] plus [b.[off .. off + n)], which ends it. *)
+let take_line c b off n =
+  if pending c.part = 0 then Bytes.sub_string b off n
+  else (
+    add_subbytes c.part b off n;
+    let line = Bytes.sub_string c.part.data c.part.pos (pending c.part) in
+    consume c.part (pending c.part);
+    line)
+
+(* Feed the complete lines of a freshly read chunk [b.[0 .. n)], each
+   copied out once, and keep its unterminated tail for the next read;
+   [Error ()] means the peer must be dropped: an unterminated line past
+   the transport cap, or a reply backlog past the slow-consumer cap. *)
+let feed_conn pump c b n =
+  let rec go off =
+    match index_newline b off n with
+    | -1 -> add_subbytes c.part b off (n - off)
+    | i ->
+        feed_line pump c (take_line c b off (i - off));
+        go (i + 1)
   in
-  go ()
+  go 0;
+  if pending c.part > max_line_bytes || pending c.out > max_out_bytes then
+    Error ()
+  else Ok ()
 
 let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let write_some fd s =
-  let b = Bytes.of_string s in
-  let n = Unix.write fd b 0 (Bytes.length b) in
-  String.sub s n (String.length s - n)
 
 let serve_socket ~pump ~path ~max_conns () =
   if max_conns < 1 then Error "max-conns must be >= 1"
@@ -163,34 +218,32 @@ let serve_socket ~pump ~path ~max_conns () =
                 try Unix.close fd with Unix.Unix_error _ -> ())
               else
                 conns :=
-                  { fd; inacc = ""; outbuf = ""; in_eof = false } :: !conns
+                  { fd; part = new_buf (); out = new_buf (); in_eof = false }
+                  :: !conns
         in
+        let rbuf = Bytes.create read_chunk in
         let read_one c =
-          let buf = Bytes.create 4096 in
-          match Unix.read c.fd buf 0 4096 with
+          match Unix.read c.fd rbuf 0 read_chunk with
           | exception Unix.Unix_error _ -> drop c
           | 0 ->
               c.in_eof <- true;
               (* an unterminated final line still counts, like the last
                  line of a file *)
-              if c.inacc <> "" then (
-                c.inacc <- c.inacc ^ "\n";
-                match feed_conn pump c with
-                | Ok () -> ()
-                | Error () -> drop c);
-              if c.outbuf = "" then drop c
+              if pending c.part > 0 then (
+                feed_line pump c (take_line c rbuf 0 0);
+                if pending c.out > max_out_bytes then drop c);
+              if pending c.out = 0 then drop c
           | n -> (
-              c.inacc <- c.inacc ^ Bytes.sub_string buf 0 n;
-              match feed_conn pump c with
+              match feed_conn pump c rbuf n with
               | Ok () -> ()
               | Error () -> drop c)
         in
         let write_one c =
-          match write_some c.fd c.outbuf with
+          match Unix.write c.fd c.out.data c.out.pos (pending c.out) with
           | exception Unix.Unix_error _ -> drop c
-          | rest ->
-              c.outbuf <- rest;
-              if rest = "" && c.in_eof then drop c
+          | n ->
+              consume c.out n;
+              if pending c.out = 0 && c.in_eof then drop c
         in
         while not !stop do
           let readers =
@@ -201,7 +254,7 @@ let serve_socket ~pump ~path ~max_conns () =
           in
           let writers =
             List.filter_map
-              (fun c -> if c.outbuf <> "" then Some c.fd else None)
+              (fun c -> if pending c.out > 0 then Some c.fd else None)
               !conns
           in
           match Unix.select readers writers [] 0.2 with
@@ -229,34 +282,49 @@ let client ~path ic =
       Error (Fmt.str "cannot connect to %s: %s" path (Unix.error_message e))
   | () ->
       let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-      let outbuf = ref "" in
+      let out = new_buf () in  (* request bytes not yet sent *)
+      let replies = Bytes.create client_chunk in
       let in_eof = ref false in
       let sent_fin = ref false in
       let server_eof = ref false in
+      (* Requests go out as the channel's bytes, up to [client_chunk]
+         pending; an unterminated last line reaches the daemon as one,
+         and the daemon counts it like the last line of a file. *)
       let refill () =
-        while (not !in_eof) && String.length !outbuf < 65_536 do
-          match In_channel.input_line ic with
-          | None -> in_eof := true
-          | Some line -> outbuf := !outbuf ^ line ^ "\n"
-        done
+        let room = client_chunk - pending out in
+        if (not !in_eof) && room > 0 then (
+          reserve out room;
+          match In_channel.input ic out.data out.len room with
+          | 0 -> in_eof := true
+          | n -> out.len <- out.len + n)
       in
       let result =
         try
           while not !server_eof do
             refill ();
-            if !outbuf = "" && !in_eof && not !sent_fin then (
+            if pending out = 0 && !in_eof && not !sent_fin then (
               Unix.shutdown fd Unix.SHUTDOWN_SEND;
               sent_fin := true);
-            let writers = if !outbuf <> "" then [ fd ] else [] in
+            let writers = if pending out > 0 then [ fd ] else [] in
             match Unix.select [ fd ] writers [] 0.2 with
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | rs, ws, _ ->
-                if ws <> [] then outbuf := write_some fd !outbuf;
-                if rs <> [] then (
-                  let buf = Bytes.create 4096 in
-                  match Unix.read fd buf 0 4096 with
-                  | 0 -> server_eof := true
-                  | n -> print_string (Bytes.sub_string buf 0 n))
+                (* A full block of replies means more are waiting: drain
+                   them before sending more requests, so replies do not
+                   pile up in the daemon. *)
+                let full =
+                  rs <> []
+                  &&
+                  match Unix.read fd replies 0 client_chunk with
+                  | 0 ->
+                      server_eof := true;
+                      false
+                  | n ->
+                      Out_channel.output stdout replies 0 n;
+                      n = client_chunk
+                in
+                if ws <> [] && (not full) && not !server_eof then
+                  consume out (Unix.write fd out.data out.pos (pending out))
           done;
           Ok ()
         with Unix.Unix_error (e, _, _) ->

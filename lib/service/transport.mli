@@ -74,4 +74,7 @@ val serve_socket :
 val client : path:string -> In_channel.t -> (unit, string) result
 (** Connect to a serving daemon, stream the channel's lines to it, print
     every reply line to stdout; returns once the daemon closes the
-    connection after our end of stream. *)
+    connection after our end of stream. Each round reads up to 64KiB of
+    replies and sends no requests in a round whose read filled that
+    buffer, so a client streaming a large file drains its replies as it
+    goes instead of leaving them to the daemon's slow-consumer cap. *)

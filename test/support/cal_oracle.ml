@@ -142,7 +142,7 @@ let check ?crashed ~spec h =
             let cand_lists =
               List.map
                 (fun i ->
-                  Spec.candidates acc ~universe
+                  Spec.candidates acc ~universe:(Lazy.from_val universe)
                     (History.pending_of_entry entries.(i)))
                 pend
             in

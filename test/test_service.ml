@@ -675,6 +675,84 @@ let prop_restore_is_total s =
   | Ok _ | Error _ -> true
   | exception _ -> false
 
+(* Transcripts are asserted byte for byte, so [Proto.print_event] must
+   print exactly what the Format printer it replaced printed: that
+   printer is kept here as [format_event]. *)
+let format_event = function
+  | Proto.Committed { oid; ops } ->
+      Fmt.str "committed oid=%a ops=%d" Ids.Oid.pp oid ops
+  | Violation { oid; op; reason } ->
+      Fmt.str "violation oid=%a op=%d reason=%s" Ids.Oid.pp oid op
+        (Proto.one_line reason)
+  | Rejected_frame { frame; reason } ->
+      Fmt.str "error frame=%d reason=%s" frame (Proto.one_line reason)
+  | Crash_seen { epoch } -> Fmt.str "crash epoch=%d" epoch
+  | Level_change { level; load } ->
+      Fmt.str "level level=%s load=%d" (Proto.level_to_string level) load
+  | Session_evicted { oid; reason } ->
+      Fmt.str "evicted oid=%a reason=%s" Ids.Oid.pp oid
+        (match reason with Idle -> "idle" | Admission_pressure -> "admission")
+  | Session_desynced { oid; reason } ->
+      Fmt.str "desynced oid=%a reason=%s" Ids.Oid.pp oid (Proto.one_line reason)
+
+(* Every constructor, with negative, zero and extreme ints, reasons
+   holding newlines, carriage returns, '%' and '@' (Format's own escape
+   characters), and reasons longer than Format's margin. *)
+let event_gen =
+  let open QCheck.Gen in
+  let int = oneof [ int; int_range (-50) 50; oneofl [ min_int; max_int; 0; -1 ] ] in
+  let text =
+    oneof
+      [
+        string_size ~gen:char (int_bound 12);
+        string_size ~gen:(oneofl [ '\n'; '\r'; ' '; '%'; '@'; 'a'; '\255' ]) (int_bound 8);
+        string_size ~gen:(oneofl [ 'x'; ' '; '\n' ]) (int_range 70 200);
+      ]
+  in
+  let oid = map (fun s -> Ids.Oid.v ("o" ^ s)) (string_size ~gen:printable (int_bound 6)) in
+  oneof
+    [
+      map2 (fun oid ops -> Proto.Committed { oid; ops }) oid int;
+      map3 (fun oid op reason -> Proto.Violation { oid; op; reason }) oid int text;
+      map2 (fun frame reason -> Proto.Rejected_frame { frame; reason }) int text;
+      map (fun epoch -> Proto.Crash_seen { epoch }) int;
+      map2
+        (fun level load -> Proto.Level_change { level; load })
+        (oneofl Proto.[ Full; Sampled; Count_only ])
+        int;
+      map2
+        (fun oid reason -> Proto.Session_evicted { oid; reason })
+        oid
+        (oneofl Proto.[ Idle; Admission_pressure ]);
+      map2 (fun oid reason -> Proto.Session_desynced { oid; reason }) oid text;
+    ]
+
+let arb_event = QCheck.make ~print:format_event event_gen
+
+let test_print_event_is_format () =
+  let o = Ids.Oid.v "C0" in
+  List.iter
+    (fun (expected, e) ->
+      Alcotest.(check string) "format printer" expected (format_event e);
+      Alcotest.(check string) "print_event" expected (Proto.print_event e))
+    [
+      ("committed oid=C0 ops=7", Proto.Committed { oid = o; ops = 7 });
+      ( "violation oid=C0 op=-3 reason=a b  c",
+        Violation { oid = o; op = -3; reason = "a\nb\r\nc" } );
+      ( Printf.sprintf "error frame=%d reason=" max_int,
+        Rejected_frame { frame = max_int; reason = "" } );
+      ("crash epoch=0", Crash_seen { epoch = 0 });
+      ( Printf.sprintf "level level=count-only load=%d" min_int,
+        Level_change { level = Count_only; load = min_int } );
+      ("level level=full load=12", Level_change { level = Full; load = 12 });
+      ("level level=sampled load=1", Level_change { level = Sampled; load = 1 });
+      ("evicted oid=C0 reason=idle", Session_evicted { oid = o; reason = Idle });
+      ( "evicted oid=C0 reason=admission",
+        Session_evicted { oid = o; reason = Admission_pressure } );
+      ( "desynced oid=C0 reason=100% @. done",
+        Session_desynced { oid = o; reason = "100% @.\ndone" } );
+    ]
+
 let () =
   Alcotest.run "service"
     [
@@ -737,5 +815,10 @@ let () =
             arb_mutated_snapshot prop_restore_is_total;
         ] );
       ( "determinism",
-        [ t "byte-deterministic transcripts" test_feed_is_byte_deterministic ] );
+        [
+          t "byte-deterministic transcripts" test_feed_is_byte_deterministic;
+          t "print_event is the Format printer" test_print_event_is_format;
+          qtest ~count:1000 "print_event prints the bytes of Format" arb_event
+            (fun e -> String.equal (Proto.print_event e) (format_event e));
+        ] );
     ]

@@ -39,7 +39,7 @@ let test_exchanger_candidates () =
   let pend : Op.pending =
     { tid = tid 1; oid = e_oid; fid = Spec_exchanger.fid_exchange; arg = vi 3 }
   in
-  let cands = Spec.candidates ex_spec.Spec.start ~universe:[ vi 3; vi 4 ] pend in
+  let cands = Spec.candidates ex_spec.Spec.start ~universe:(Lazy.from_val [ vi 3; vi 4 ]) pend in
   check_bool "contains failure" true (List.exists (Value.equal (fail_int 3)) cands);
   check_bool "contains ok 4" true (List.exists (Value.equal (ok_int 4)) cands)
 

@@ -2,8 +2,10 @@
    runs the daemon loop, the parent speaks the wire protocol. Covers the
    happy path (events stream back per connection), per-connection fault
    containment (a hostile over-long line costs only its own connection),
-   the bounded-accept busy reply, and graceful SIGTERM drain with a
-   journal snapshot on the way down. *)
+   the bounded-accept busy reply, graceful SIGTERM drain with a journal
+   snapshot on the way down, bulk and fragmented streams whose socket
+   transcript must equal the file-mode one, and a slow consumer that
+   is kicked alone. *)
 
 open Cal
 open Test_support
@@ -11,6 +13,7 @@ module Config = Service.Config
 module Core = Service.Core
 module Transport = Service.Transport
 module Journal = Service.Journal
+module Proto = Service.Proto
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -94,6 +97,18 @@ let stop_server pid =
   | _, Unix.WEXITED code ->
       Alcotest.(check int) "server drained cleanly" 0 code
   | _, _ -> Alcotest.fail "server did not exit"
+
+(* Run [f] against a forked daemon. Should [f] raise, the daemon is
+   killed first, so a failing test leaves no process behind. *)
+let with_server ~sock ~max_conns ~result_file f =
+  let pid = fork_server ~sock ~max_conns ~result_file () in
+  try f pid
+  with e ->
+    (try
+       Unix.kill pid Sys.sigkill;
+       ignore (Unix.waitpid [] pid)
+     with Unix.Unix_error _ -> ());
+    raise e
 
 let connect sock =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -207,6 +222,198 @@ let test_sigterm_drain_cuts_a_snapshot () =
   rm_rf jdir;
   Sys.remove result
 
+(* The file-mode transcript of [lines]: every event of an in-process
+   pump over a core configured like [fork_server]'s, one per line. *)
+let file_transcript lines =
+  let core =
+    match Core.create ~config:small_config ~spec_for () with
+    | Ok c -> c
+    | Error m -> Alcotest.fail m
+  in
+  let pump = Transport.create_pump ~core ~tick_every:4 () in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun l ->
+      List.iter
+        (fun e ->
+          Buffer.add_string b (Proto.print_event e);
+          Buffer.add_char b '\n')
+        (Transport.pump_line pump l))
+    lines;
+  Buffer.contents b
+
+(* [n] counter windows, round robin over four objects, with a malformed
+   frame after every 997th window. *)
+let bulk_lines n =
+  List.concat
+    (List.init n (fun i ->
+         let o = Fmt.str "B%d" (i mod 4) in
+         [ Fmt.str "t1 inv %s.incr ()" o; Fmt.str "t1 res %s.incr %d" o (i / 4) ]
+         @ if i mod 997 = 996 then [ Fmt.str "bogus %d" i ] else []))
+
+(* Run [Transport.client] on [in_file] in a forked child whose stdout is
+   [out_file], as `calc serve --connect` would; fails unless the client
+   returns [Ok] within a minute. *)
+let run_client ~sock ~in_file ~out_file =
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        try
+          ignore (Unix.alarm 60);
+          let fd =
+            Unix.openfile out_file
+              [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+          in
+          Unix.dup2 fd Unix.stdout;
+          Unix.close fd;
+          let r =
+            In_channel.with_open_bin in_file (fun ic ->
+                Transport.client ~path:sock ic)
+          in
+          flush stdout;
+          match r with Ok () -> 0 | Error _ -> 1
+        with _ -> 2
+      in
+      Unix._exit code
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _, Unix.WEXITED c -> Alcotest.failf "client exited with %d" c
+      | _, _ -> Alcotest.fail "client was killed")
+
+(* A bulk stream through the client: the client sends it in large
+   blocks, so one read of the daemon holds many windows and most reads
+   end inside a line, and the stream's last line is unterminated. Every
+   window must be answered, and the socket transcript must equal the
+   file-mode transcript byte for byte. *)
+let test_bulk_stream_through_client () =
+  let sock = scratch () and result = scratch () in
+  let in_file = scratch () and out_file = scratch () in
+  let windows = 20_000 in
+  let lines = bulk_lines windows in
+  Out_channel.with_open_bin in_file (fun oc ->
+      Out_channel.output_string oc (String.concat "\n" lines));
+  with_server ~sock ~max_conns:4 ~result_file:result (fun pid ->
+      run_client ~sock ~in_file ~out_file;
+      stop_server pid);
+  let reply = In_channel.with_open_bin out_file In_channel.input_all in
+  Alcotest.(check int) "every window answered" windows
+    (count_lines "committed oid=B" reply);
+  check_bool "socket transcript equals the file-mode transcript" true
+    (String.equal (file_transcript lines) reply);
+  let summary = In_channel.with_open_text result In_channel.input_all in
+  Alcotest.(check string) "drain summary accounts for every frame"
+    (Fmt.str "frames=%d ops=%d violations=0\n" (List.length lines) windows)
+    summary;
+  List.iter Sys.remove [ result; in_file; out_file ]
+
+(* The same comparison on a raw connection whose bytes arrive in pieces:
+   a line dribbled a few bytes per write, many windows in one write, and
+   an unterminated last line before the half-close. *)
+let test_fragmented_stream_matches_file_mode () =
+  let sock = scratch () and result = scratch () in
+  let lines = bulk_lines 300 in
+  let bytes = String.concat "\n" lines in
+  let n = String.length bytes in
+  let last = String.rindex bytes '\n' + 1 in
+  let reply =
+    with_server ~sock ~max_conns:4 ~result_file:result (fun pid ->
+        let fd = connect sock in
+        let rec dribble off =
+          if off < 60 then (
+            send fd (String.sub bytes off 5);
+            Unix.sleepf 0.005;
+            dribble (off + 5))
+        in
+        dribble 0;
+        send fd (String.sub bytes 60 (last - 60));
+        Unix.sleepf 0.02;
+        send fd (String.sub bytes last (n - last));
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
+        let reply = recv_all fd in
+        Unix.close fd;
+        stop_server pid;
+        reply)
+  in
+  check_bool "socket transcript equals the file-mode transcript" true
+    (String.equal (file_transcript lines) reply);
+  Sys.remove result
+
+(* The first line [fd] receives within [limit] seconds, if any. *)
+let line_within fd ~limit =
+  let t0 = Unix.gettimeofday () in
+  let b = Buffer.create 64 and chunk = Bytes.create 256 in
+  let rec go () =
+    match String.index_opt (Buffer.contents b) '\n' with
+    | Some i -> Some (Buffer.sub b 0 i)
+    | None -> (
+        let left = limit -. (Unix.gettimeofday () -. t0) in
+        if left <= 0. then None
+        else
+          match Unix.select [ fd ] [] [] left with
+          | [], _, _ -> None
+          | _ -> (
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 -> None
+              | k ->
+                  Buffer.add_subbytes b chunk 0 k;
+                  go ()))
+  in
+  go ()
+
+(* One connection pipelines windows and never reads its replies: once
+   its backlog passes the slow-consumer cap it is closed, and a sibling
+   connection still gets its verdict promptly. *)
+let test_slow_consumer_is_kicked_alone () =
+  let sock = scratch () and result = scratch () in
+  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_pipe)
+  @@ fun () ->
+  with_server ~sock ~max_conns:4 ~result_file:result (fun pid ->
+      let sibling = connect sock in
+      let slow = connect sock in
+      Unix.set_nonblock slow;
+      let next = ref 0 in
+      let block () =
+        let b = Buffer.create 4096 in
+        for _ = 1 to 100 do
+          Buffer.add_string b
+            (Fmt.str "t1 inv S.incr ()\nt1 res S.incr %d\n" !next);
+          incr next
+        done;
+        Buffer.contents b
+      in
+      (* Flood until the daemon closes the connection (the write fails),
+         or the daemon stops taking its bytes for two seconds, or ten
+         seconds pass. *)
+      let t0 = Unix.gettimeofday () in
+      let rec flood s off =
+        if Unix.gettimeofday () -. t0 > 10. then `Stalled
+        else if off = String.length s then flood (block ()) 0
+        else
+          match Unix.write_substring slow s off (String.length s - off) with
+          | k -> flood s (off + k)
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            -> (
+              match Unix.select [] [ slow ] [] 2. with
+              | [], [], [] -> `Stalled
+              | _ -> flood s off)
+          | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
+            ->
+              `Closed
+      in
+      let outcome = flood (block ()) 0 in
+      send sibling "t1 inv D.incr ()\nt1 res D.incr 0\n";
+      Alcotest.(check (option string)) "sibling gets its verdict within 5 s"
+        (Some "committed oid=D ops=1") (line_within sibling ~limit:5.);
+      check_bool "slow consumer closed" true (outcome = `Closed);
+      Unix.close slow;
+      Unix.close sibling;
+      stop_server pid);
+  Sys.remove result
+
 let () =
   Alcotest.run "transport"
     [
@@ -217,5 +424,9 @@ let () =
             test_hostile_connection_is_contained;
           t "busy reject beyond max-conns" test_busy_reject_beyond_max_conns;
           t "sigterm drain cuts a snapshot" test_sigterm_drain_cuts_a_snapshot;
+          t "bulk stream through the client" test_bulk_stream_through_client;
+          t "fragmented stream matches file mode"
+            test_fragmented_stream_matches_file_mode;
+          t "slow consumer is kicked alone" test_slow_consumer_is_kicked_alone;
         ] );
     ]
