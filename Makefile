@@ -1,4 +1,4 @@
-.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke bench-figures-unchanged fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke perf-ab ci clean
+.PHONY: all build test cross-check-dpor check-parallel bench bench-faults bench-crash bench-explore bench-parallel bench-dpor bench-sampling bench-serve bench-serve-durable bench-smoke bench-figures-unchanged fuzz-smoke serve-smoke serve-crash-smoke perfbench-smoke perf-ab ci clean
 
 all: build
 
@@ -46,6 +46,11 @@ bench-faults:
 # fuel.
 bench-crash:
 	dune exec bench/main.exe -- crash
+
+# Regenerate only BENCH_explore.json (the B12 exploration-engine cost
+# figure: whole-prefix replay vs the incremental engine) at full fuel.
+bench-explore:
+	dune exec bench/main.exe -- explore
 
 # Regenerate only BENCH_parallel.json (the B14 parallel-exploration +
 # verdict-cache figure) at full fuel. Asserts in-process that every cell

@@ -77,6 +77,7 @@ let mode =
   else if Array.exists (fun a -> a = "parallel") Sys.argv then `Parallel
   else if Array.exists (fun a -> a = "sampling") Sys.argv then `Sampling
   else if Array.exists (fun a -> a = "dpor") Sys.argv then `Dpor
+  else if Array.exists (fun a -> a = "explore") Sys.argv then `Explore
   else if Array.exists (fun a -> a = "serve-smoke") Sys.argv then `Serve_smoke
   else if Array.exists (fun a -> a = "serve-durable-smoke") Sys.argv then
     `Serve_durable_smoke
@@ -464,10 +465,12 @@ let figure_timeouts () =
    a fuel × preemption-bound grid. The headline column is steps-executed:
    the replay engine re-runs the whole prefix at every DFS node
    (O(nodes × depth)); the incremental engine pays one step per tree edge
-   plus a single prefix replay per backtrack (O(runs × depth)). Identical
-   run counts between the two engines are asserted here — the
-   speedup must not change what is explored. Results land in
-   BENCH_explore.json. *)
+   and backtracks by rollback, replaying nothing, on these undoable
+   scenarios (a program that cannot be undone pays one prefix replay per
+   backtrack instead, O(runs × depth)). Identical run counts between the
+   two engines are asserted here — the speedup must not change what is
+   explored. Results land in BENCH_explore.json ([make bench-explore]
+   regenerates only that file). *)
 let figure_explore () =
   let scenarios =
     [ S.exchanger_pair (); S.elim_stack_push_pop ~k:1 () ]
@@ -1556,6 +1559,10 @@ let () =
       figure_serve_durable ~reduced:true ();
       Fmt.pr "@.done.@."
   | `Fuzz -> fuzz_pass ()
+  | `Explore ->
+      Fmt.pr "== CAL benchmark harness (B12 exploration engine cost) ==@.";
+      figure_explore ();
+      Fmt.pr "@.done.@."
   | `Faults ->
       (* Exactly the figures `make bench-faults` regenerates. *)
       Fmt.pr "== CAL benchmark harness (faults: fault + timeout figures) ==@.";

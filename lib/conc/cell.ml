@@ -3,7 +3,18 @@ type 'a t = { mutable v : 'a; loc : string; ctx : Ctx.t }
 let make ctx ~loc v = { v; loc; ctx }
 let loc c = c.loc
 let peek c = c.v
-let poke c v = c.v <- v
+
+(* Trail the old value before overwriting it, so {!Runner.rollback} can
+   restore the cell. Only while the run is trailed: no closure otherwise. *)
+let save c =
+  if Ctx.trailing c.ctx then begin
+    let old = c.v in
+    Ctx.push_undo c.ctx (fun () -> c.v <- old)
+  end
+
+let poke c v =
+  save c;
+  c.v <- v
 
 let get c =
   Ctx.note_read c.ctx c.loc;
@@ -11,12 +22,14 @@ let get c =
 
 let set c v =
   Ctx.note_write c.ctx c.loc;
+  save c;
   c.v <- v
 
 let compare_and_set ~eq c ~expect v =
   Ctx.note_read c.ctx c.loc;
   if eq c.v expect then begin
     Ctx.note_write c.ctx c.loc;
+    save c;
     c.v <- v;
     true
   end

@@ -8,6 +8,11 @@
     evaluation during frontier computation) record nothing, because
     {!Ctx.note_read} is a no-op there.
 
+    Every write ({!set}, a successful {!compare_and_set}, {!poke}) pushes
+    the cell's old value on the context's undo trail while the run is
+    trailed, which is what lets {!Runner.rollback} restore a branch point
+    in place (see {!Ctx.declare_undoable}).
+
     Labels of the step constructors keep the ["op@loc"] suffix convention,
     which {!Deps} falls back on for steps that record no footprint. *)
 

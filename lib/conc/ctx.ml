@@ -12,6 +12,25 @@ type t = {
   mutable reads_rev : string list;
   mutable writes_rev : string list;
   mutable noted : bool;
+  (* Rollback support. [declared] is set by a setup whose shared state
+     lives in {!Cell}s (or undo-logs itself); [forbidden] by any structure
+     that keeps state the trail cannot see. [trailing] is switched on by
+     the runner once it has decided the run can be rolled back: from then
+     on every tracked write pushes a closure restoring the old value. *)
+  mutable declared : bool;
+  mutable forbidden : bool;
+  mutable trailing : bool;
+  mutable trail : (unit -> unit) array;
+  mutable trail_len : int;
+}
+
+type mark = {
+  m_history_rev : Cal.Action.t list;
+  m_trace_rev : Cal.Ca_trace.element list;
+  m_trace_len : int;
+  m_clock : int;
+  m_crashes : int;
+  m_trail_len : int;
 }
 
 (* Pseudo-locations for the checker-visible logs. The history quotient of
@@ -37,7 +56,58 @@ let create () =
     reads_rev = [];
     writes_rev = [];
     noted = false;
+    declared = false;
+    forbidden = false;
+    trailing = false;
+    trail = [||];
+    trail_len = 0;
   }
+
+let declare_undoable t = t.declared <- true
+let forbid_undo t = t.forbidden <- true
+let undoable t = t.declared && not t.forbidden
+let start_trail t = t.trailing <- true
+let trailing t = t.trailing
+let trail_length t = t.trail_len
+
+let nop () = ()
+
+let push_undo t undo =
+  if t.trailing then begin
+    let n = t.trail_len in
+    if n = Array.length t.trail then begin
+      let a = Array.make (max 64 (2 * n)) nop in
+      Array.blit t.trail 0 a 0 n;
+      t.trail <- a
+    end;
+    t.trail.(n) <- undo;
+    t.trail_len <- n + 1
+  end
+
+let mark t =
+  {
+    m_history_rev = t.history_rev;
+    m_trace_rev = t.trace_rev;
+    m_trace_len = t.trace_len;
+    m_clock = t.clock;
+    m_crashes = t.crashes;
+    m_trail_len = t.trail_len;
+  }
+
+(* Undo newest first, so a location written twice since the mark ends at
+   its value at the mark. Released slots drop their closures: the trail
+   must not keep a backtracked branch's values alive. *)
+let rollback t m =
+  for i = t.trail_len - 1 downto m.m_trail_len do
+    t.trail.(i) ();
+    t.trail.(i) <- nop
+  done;
+  t.trail_len <- m.m_trail_len;
+  t.history_rev <- m.m_history_rev;
+  t.trace_rev <- m.m_trace_rev;
+  t.trace_len <- m.m_trace_len;
+  t.clock <- m.m_clock;
+  t.crashes <- m.m_crashes
 
 let note_read t loc =
   if t.track then begin

@@ -84,6 +84,64 @@ val step_accesses : t -> (string list * string list) option
     dedicated pseudo-location, so checker-visible ordering is never
     reordered by dependency-based reduction. *)
 
+(** {1 Rollback}
+
+    A run whose every step-time mutation is visible to the context can be
+    backtracked in place: {!Runner.mark} saves a branch point and
+    {!Runner.rollback} restores it, undoing the {e trail} — one entry per
+    tracked write since the mark, newest first. Without it the explorer
+    rebuilds a branch point by replaying its prefix from a fresh setup.
+
+    Rollback is opt-in per program: a setup whose shared state lives in
+    {!Cell}s calls {!declare_undoable}, and any structure keeping state
+    the trail cannot see calls {!forbid_undo} in its [create]. The whole
+    rule and its list of opt-outs are in {!Runner.undoable}. *)
+
+val declare_undoable : t -> unit
+(** Declare that the program built in this context keeps all state its
+    steps mutate in {!Cell}s, in the context itself, or in thread-local
+    state it undo-logs with {!push_undo}. *)
+
+val forbid_undo : t -> unit
+(** Declare state the trail cannot see (a plain [ref] shared between
+    threads, a random generator, a backoff window): runs in this context
+    backtrack by prefix replay. Sticky: {!declare_undoable} cannot lift
+    it. *)
+
+val undoable : t -> bool
+(** Declared undoable and never forbidden. *)
+
+val start_trail : t -> unit
+(** Start recording undo entries. Called by {!Runner} after setup, once it
+    has decided the run can be rolled back; implementations must not call
+    it. Setup writes are never trailed: no mark precedes them. *)
+
+val trailing : t -> bool
+(** Whether writes are being trailed. {!Cell} checks it before building an
+    undo entry, so a replayed run pays nothing. *)
+
+val push_undo : t -> (unit -> unit) -> unit
+(** [push_undo t undo] records [undo] as the way to revert a mutation
+    about to happen; a no-op unless {!trailing}. For thread-local mutable
+    state changed inside a step (a uid counter, a per-operation
+    deadline). *)
+
+val trail_length : t -> int
+(** Undo entries currently held: the writes made along the current path
+    since the trail started (so [0] once a sweep has rolled back to its
+    root). *)
+
+type mark
+(** The context's part of a branch point: history, trace, trace length,
+    clock, crash count and trail length. *)
+
+val mark : t -> mark
+
+val rollback : t -> mark -> unit
+(** Undo every trail entry pushed since the mark, newest first, and
+    restore the mark's history, trace, clock and crash count. The mark
+    stays valid: a branch point is rolled back to once per sibling. *)
+
 val active_threads : t -> oid:Cal.Ids.Oid.t -> Cal.Ids.Tid.t list
 (** Threads currently executing a method of [oid] (the paper's [InE]):
     those with a pending invocation on [oid] in the history {e after} the

@@ -19,7 +19,11 @@
    task, so the parallel merge is deterministic and race reversals never
    need to reach into a frozen prefix node (the root is already fully
    expanded — a superset of any backtrack set). Schedule-bounded search
-   is not here: it is the DFS of {!Par_explore} with a bound. *)
+   is not here: it is the DFS of {!Par_explore} with a bound.
+
+   Backtracking is the DFS's: every spine node of an undoable execution
+   holds a {!Runner.mark}, and a sibling decision starts from a rollback
+   to it; any other program replays the node's prefix. *)
 
 (* ---------------------------------------------------------- source-DPOR -- *)
 
@@ -28,6 +32,7 @@ type dnode = {
   dn_backtrack : (int, unit) Hashtbl.t;
   dn_done : (int, unit) Hashtbl.t;
   dn_frozen : bool; (* prefix node: owned by another root-split task *)
+  dn_mark : Runner.mark option; (* the node's branch point, if undoable *)
   mutable dn_taken : Deps.step option; (* step taken from here, current path *)
 }
 
@@ -67,13 +72,18 @@ let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort ~f () =
         raise Engine.Stop
     | _ -> ()
   in
-  let ensure_at depth prefix_rev =
-    if Runner.steps_done !exec <> depth then begin
-      let e = restart () in
-      List.iter (fun d -> ignore (Runner.step e d)) (List.rev prefix_rev);
-      replayed := !replayed + depth;
-      exec := e
-    end
+  (* Back at spine node [nd] after a sibling's subtree: roll back to the
+     node's mark, or replay its prefix for a program that cannot be
+     undone. *)
+  let ensure_at nd depth prefix_rev =
+    if Runner.steps_done !exec <> depth then
+      match nd.dn_mark with
+      | Some m -> Runner.rollback !exec m
+      | None ->
+          let e = restart () in
+          List.iter (fun d -> ignore (Runner.step e d)) (List.rev prefix_rev);
+          replayed := !replayed + depth;
+          exec := e
   in
   let add_backtrack nd t =
     if not (Hashtbl.mem nd.dn_backtrack t) then begin
@@ -151,6 +161,11 @@ let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort ~f () =
           dn_backtrack = Hashtbl.create 4;
           dn_done = Hashtbl.create 4;
           dn_frozen = false;
+          dn_mark =
+            (match frontier with
+            | _ :: _ :: _ when Runner.undoable !exec ->
+                Some (Runner.mark !exec)
+            | _ -> None (* a one-decision node is never re-entered *));
           dn_taken = None;
         }
       in
@@ -184,7 +199,7 @@ let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort ~f () =
               let eff_taken = ref None in
               List.iter
                 (fun (d : Runner.decision) ->
-                  ensure_at depth prefix_rev;
+                  ensure_at nd depth prefix_rev;
                   let label = Runner.step !exec d in
                   let recorded = Runner.last_step_accesses !exec in
                   let eff = classify ~thread:t ~n_decisions ~label ~recorded in
@@ -239,6 +254,7 @@ let source ~restart ~fuel ?max_runs ?(prefix = []) ?gate ?abort ~f () =
           dn_backtrack = Hashtbl.create 1;
           dn_done = Hashtbl.create 1;
           dn_frozen = true;
+          dn_mark = None;
           dn_taken = None;
         }
       in

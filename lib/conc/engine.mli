@@ -21,7 +21,8 @@ type stats = {
   replayed_steps : int;
       (** program steps re-executed to re-establish branch points after
           backtracking, including task-prefix replays of the parallel
-          front *)
+          front. An undoable program ({!Runner.undoable}) backtracks by
+          rollback and replays nothing but those task prefixes. *)
   sleep_pruned : int;
       (** sibling decisions skipped by the DPOR engine's sleep sets *)
   races_found : int;

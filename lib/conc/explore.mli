@@ -12,10 +12,13 @@
     Every exhaustive entry point runs one engine, the incremental DFS of
     {!Par_explore}: it keeps one live execution
     ({!Runner.start}/{!Runner.step}) and descends the schedule tree one
-    step per edge, re-establishing a branch point after backtracking with
-    a single prefix replay — O(runs × depth) program steps in total,
-    against O(nodes × depth) for a whole-prefix replay at every node (the
-    seed engine, kept as {!exhaustive_via_replay} for cross-checks and
+    step per edge. It re-establishes a branch point after backtracking by
+    {!Runner.rollback} for an undoable program (one that declared
+    {!Ctx.declare_undoable} and that nothing opted out, see
+    {!Runner.undoable}) — O(nodes) program steps in total — and by a
+    single prefix replay otherwise — O(runs × depth). Both are against
+    O(nodes × depth) for a whole-prefix replay at every node (the seed
+    engine, kept as {!exhaustive_via_replay} for cross-checks and
     benchmarks). Reductions of the tree are explicit {!strategy} values:
     source-DPOR (verdict-complete) and the preemption/delay-bounded
     searches, which are the same DFS with a schedule bound.
@@ -43,9 +46,11 @@ type stats = Engine.stats = {
   nodes : int;          (** schedule-tree nodes visited *)
   replayed_steps : int;
       (** program steps re-executed to re-establish branch points after
-          backtracking, including the parallel front's task-prefix replays
-          (for {!exhaustive_via_replay}: every step it executed, since it
-          replays the whole prefix at every node) *)
+          backtracking, including the parallel front's task-prefix replays.
+          An undoable program backtracks by rollback, which replays
+          nothing: only its task prefixes count. (For
+          {!exhaustive_via_replay}: every step it executed, since it
+          replays the whole prefix at every node.) *)
   sleep_pruned : int;
       (** sibling decisions skipped by the DPOR engine's sleep sets *)
   races_found : int;

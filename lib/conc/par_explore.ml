@@ -2,12 +2,15 @@
    (DESIGN §2.11).
 
    The DFS keeps a single live execution per worker and descends by
-   {!Runner.step} — O(1) per tree edge. Backtracking to a sibling
-   re-establishes the branch point with one prefix replay (the shared heap
-   the program mutates cannot be checkpointed, so it is rebuilt by
-   re-execution): the total work is O(runs × depth) program steps, against
-   O(nodes × depth) for the whole-prefix-replay oracle
-   ({!Explore.exhaustive_via_replay}).
+   {!Runner.step} — O(1) per tree edge. Every frame of an undoable
+   execution ({!Runner.undoable}) holds a {!Runner.mark}, and backtracking
+   to a sibling rolls back to it in place: the total work is O(nodes)
+   program steps plus the undone writes. A program that cannot be undone
+   re-establishes the branch point with one prefix replay from a fresh
+   setup instead, O(runs × depth) in all. Both are against O(nodes ×
+   depth) for the whole-prefix-replay oracle
+   ({!Explore.exhaustive_via_replay}). Prefix replay also rebuilds every
+   donated chunk, on the claiming worker's own execution.
 
    Dynamic cooperative splitting. There is no up-front task partition: the
    whole schedule tree starts as one task, and splitting happens on demand
@@ -89,6 +92,7 @@ type 'path frame = {
   fr_free : int option;  (* the thread whose step costs nothing, if any *)
   fr_frontier : Runner.decision list;
   fr_path : 'path;
+  fr_mark : Runner.mark option;  (* the node's branch point, if undoable *)
   mutable fr_rest : Runner.decision list;
   mutable fr_next : int;  (* branch index of [hd fr_rest] *)
 }
@@ -254,6 +258,12 @@ let explore ~domains ?max_runs ?bound ~restart ~fuel ~init_path
       in
       let exec = ref (restart ()) in
       List.iter (fun d -> ignore (Runner.step !exec d)) prefix;
+      let mark () =
+        if Runner.undoable !exec then Some (Runner.mark !exec) else None
+      in
+      (* rolled back to when the task ends, so the trail is back to its
+         length at the task's first node *)
+      let base = mark () in
       let runs = ref 0 and truncated = ref false and max_steps = ref 0 in
       let nodes = ref 0 and replayed = ref depth0 and bound_hits = ref 0 in
       let acc = init () in
@@ -348,16 +358,21 @@ let explore ~domains ?max_runs ?bound ~restart ~fuel ~init_path
           find 0
         end
       in
-      (* Position the execution at the node reached by [prefix_rev]: free
-         while descending along the spine; one fresh prefix replay after
-         returning from an earlier sibling's subtree. *)
-      let ensure_at depth prefix_rev =
-        if Runner.steps_done !exec <> depth then begin
-          let e = restart () in
-          List.iter (fun d -> ignore (Runner.step e d)) (List.rev prefix_rev);
-          replayed := !replayed + depth;
-          exec := e
-        end
+      (* Position the execution at the node of [fr]: free while descending
+         along the spine; after returning from an earlier sibling's
+         subtree, a rollback to the node's mark or, for a program that
+         cannot be undone, one fresh prefix replay. *)
+      let ensure_at fr =
+        let depth = fr.fr_depth in
+        if Runner.steps_done !exec <> depth then
+          match fr.fr_mark with
+          | Some m -> Runner.rollback !exec m
+          | None ->
+              let e = restart () in
+              List.iter (fun d -> ignore (Runner.step e d))
+                (List.rev fr.fr_prefix_rev);
+              replayed := !replayed + depth;
+              exec := e
       in
       let rec expand ~depth ~prefix_rev ~rank_rev ~last ~cost ~path =
         if abandoned () then raise Engine.Abandoned;
@@ -374,6 +389,9 @@ let explore ~domains ?max_runs ?bound ~restart ~fuel ~init_path
               fr_free = free_thread ~last frontier;
               fr_frontier = frontier;
               fr_path = path;
+              (* a one-branch node is never re-entered: no mark needed *)
+              fr_mark =
+                (match frontier with _ :: _ :: _ -> mark () | _ -> None);
               fr_rest = frontier;
               fr_next = 0;
             }
@@ -397,7 +415,7 @@ let explore ~domains ?max_runs ?bound ~restart ~fuel ~init_path
             in
             if cost > limit then incr bound_hits
             else begin
-              ensure_at fr.fr_depth fr.fr_prefix_rev;
+              ensure_at fr;
               let path = step_path fr.fr_path fr.fr_frontier d in
               ignore (Runner.step !exec d);
               started := true;
@@ -425,6 +443,7 @@ let explore ~domains ?max_runs ?bound ~restart ~fuel ~init_path
                  fr_free = c.k_free;
                  fr_frontier = c.k_frontier;
                  fr_path = c.k_path;
+                 fr_mark = base;
                  fr_rest = c.k_rest;
                  fr_next = c.k_base;
                }
@@ -434,6 +453,7 @@ let explore ~domains ?max_runs ?bound ~restart ~fuel ~init_path
              iterate fr;
              pop ()
        with Engine.Stop | Engine.Abandoned | Task_done -> ());
+      Option.iter (Runner.rollback !exec) base;
       let stats =
         {
           Engine.empty_stats with

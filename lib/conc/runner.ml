@@ -204,10 +204,12 @@ let enabled fs states =
 
 (* A live execution: the mutable state a schedule prefix has built so far.
    {!Par_explore} descends one decision at a time along the DFS spine instead of
-   replaying the whole prefix at every node; re-establishing a branch point
-   after backtracking costs one prefix replay (the shared heap the program's
-   closures mutate cannot be checkpointed generically, so it is rebuilt by
-   re-execution — once per backtrack, not once per node). *)
+   replaying the whole prefix at every node. An undoable execution
+   re-establishes a branch point after backtracking by {!rollback}: the
+   runner's own state is saved in the {!mark}, the shared heap's changes are
+   undone from the context's trail. Any other execution is rebuilt by one
+   prefix replay per backtrack — a heap that plain closures mutate cannot be
+   checkpointed generically. *)
 type exec = {
   e_ctx : Ctx.t;
   mutable e_program : program;
@@ -217,6 +219,7 @@ type exec = {
   mutable e_epoch : int; (* system crashes survived so far *)
   mutable e_applied_rev : decision list;
   mutable e_steps : int;
+  e_undoable : bool;
 }
 
 let grow arr n default =
@@ -280,6 +283,15 @@ let make_exec ~plan ~ctx ~program ~e_durable () =
   let states = Array.copy program.threads in
   let fs = fault_state ~threads:(Array.length states) plan in
   apply_delays ctx plan;
+  (* The opt-in rule: the setup declared its state undoable and nothing
+     forbade it, and no hook or crash transition acts outside the trail. *)
+  let e_undoable =
+    Ctx.undoable ctx
+    && Option.is_none program.observe
+    && Option.is_none program.on_label
+    && Option.is_none e_durable
+  in
+  if e_undoable then Ctx.start_trail ctx;
   let e =
     {
       e_ctx = ctx;
@@ -290,6 +302,7 @@ let make_exec ~plan ~ctx ~program ~e_durable () =
       e_epoch = 0;
       e_applied_rev = [];
       e_steps = 0;
+      e_undoable;
     }
   in
   maybe_crash e;
@@ -344,6 +357,63 @@ let step e d =
   label
 
 let frontier e = enabled e.e_fs e.e_states
+
+(* ---------------------------------------------------------- rollback -- *)
+
+(* A branch point of an undoable execution: the context's mark plus copies
+   of everything else a step changes. Crash state (pending system crashes,
+   epochs, crash points, the program) is absent: durable runs never roll
+   back. *)
+type mark = {
+  m_ctx : Ctx.mark;
+  m_states : Cal.Value.t Prog.t array;
+  m_thread_steps : int array;
+  m_global_step : int;
+  m_stall_until : int array;
+  m_fired_rev : Fault.t list;
+  m_fallible_rev : string list;
+  m_fail_seen : int list;  (* the Fail_step counters, in [fail_seen] order *)
+  m_applied_rev : decision list;
+  m_steps : int;
+}
+
+let undoable e = e.e_undoable
+
+let mark e =
+  if not e.e_undoable then invalid_arg "Runner.mark: execution is not undoable";
+  let fs = e.e_fs in
+  {
+    m_ctx = Ctx.mark e.e_ctx;
+    m_states = Array.copy e.e_states;
+    m_thread_steps = Array.copy fs.thread_steps;
+    m_global_step = fs.global_step;
+    (* stall windows only move under a plan *)
+    m_stall_until =
+      (if fs.plan = [] then fs.stall_until else Array.copy fs.stall_until);
+    m_fired_rev = fs.fired_rev;
+    m_fallible_rev = fs.fallible_rev;
+    m_fail_seen = List.map (fun (_, seen) -> !seen) fs.fail_seen;
+    m_applied_rev = e.e_applied_rev;
+    m_steps = e.e_steps;
+  }
+
+let rollback e m =
+  if not e.e_undoable then
+    invalid_arg "Runner.rollback: execution is not undoable";
+  let fs = e.e_fs in
+  Ctx.rollback e.e_ctx m.m_ctx;
+  Array.blit m.m_states 0 e.e_states 0 (Array.length m.m_states);
+  Array.blit m.m_thread_steps 0 fs.thread_steps 0
+    (Array.length m.m_thread_steps);
+  fs.global_step <- m.m_global_step;
+  if m.m_stall_until != fs.stall_until then
+    Array.blit m.m_stall_until 0 fs.stall_until 0
+      (Array.length m.m_stall_until);
+  fs.fired_rev <- m.m_fired_rev;
+  fs.fallible_rev <- m.m_fallible_rev;
+  List.iter2 (fun (_, seen) n -> seen := n) fs.fail_seen m.m_fail_seen;
+  e.e_applied_rev <- m.m_applied_rev;
+  e.e_steps <- m.m_steps
 let steps_done e = e.e_steps
 let ctx e = e.e_ctx
 let last_step_accesses e = Ctx.step_accesses e.e_ctx

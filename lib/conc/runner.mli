@@ -68,12 +68,13 @@ type frontier = decision list
 
     A live execution over explicit mutable state. The incremental DFS of
     {!Par_explore} (behind every exhaustive entry point of {!Explore})
-    descends the schedule tree one {!step} at a time and re-establishes a
-    branch point after backtracking with a single prefix replay — O(1)
-    steps per tree edge instead of a whole-prefix replay per node. The
-    shared heap that program closures mutate cannot be checkpointed
-    generically, which is why backtracking re-executes the prefix (once per
-    backtrack) rather than restoring a snapshot. *)
+    descends the schedule tree one {!step} at a time — O(1) steps per tree
+    edge instead of a whole-prefix replay per node. It re-establishes a
+    branch point after backtracking by {!rollback} when the execution is
+    {!undoable}, and otherwise by a single prefix replay from a fresh
+    setup: a heap that plain closures mutate cannot be checkpointed
+    generically, but one kept in {!Cell}s is undone from the context's
+    trail. *)
 
 type exec
 
@@ -128,6 +129,36 @@ val head_label : exec -> int -> string option
 
 val ctx : exec -> Ctx.t
 (** The execution's run context. *)
+
+(** {2 Rollback} *)
+
+val undoable : exec -> bool
+(** Whether {!mark}/{!rollback} work on this execution. Decided once, at
+    start, by the opt-in rule: the setup called {!Ctx.declare_undoable} and
+    no structure it built called {!Ctx.forbid_undo}; the program has no
+    [observe] and no [on_label] hook (they act outside the trail); and the
+    target is not {!durable} (a system crash swaps the program and wipes
+    persistent cells). [Workloads.Scenarios] declares its plain programs;
+    the plain-ref structures (counter, register, the MS, dual and
+    elimination queues, the abstract exchanger, every [Faulty] object and
+    the durable structures), a structure built with a [Backoff] policy and
+    an elimination array with a seeded slot choice forbid it. *)
+
+type mark
+(** A branch point of an undoable execution: the context's {!Ctx.mark},
+    the thread states, the step counts and the whole fault state (per
+    thread step counts, the global step, stall windows, fired faults,
+    fallible labels and [Fail_step] counters). *)
+
+val mark : exec -> mark
+(** Save the current branch point. Raises [Invalid_argument] unless
+    {!undoable}. *)
+
+val rollback : exec -> mark -> unit
+(** Restore the execution to a mark taken earlier on the current path: the
+    execution continues exactly as it would have from there, byte for
+    byte. The mark stays valid for further rollbacks. Raises
+    [Invalid_argument] unless {!undoable}. *)
 
 val last_step_accesses : exec -> (string list * string list) option
 (** [(reads, writes)] recorded by the most recently applied decision

@@ -13,6 +13,7 @@ type t = {
 }
 
 let create ?(oid = Ids.Oid.v "E") ?(instrument = true) ?(log_history = true) ctx =
+  Ctx.forbid_undo ctx (* the slot and the answers are plain refs *);
   { ax_oid = oid; slot = ref None; ctx; instrument; log_history }
 
 let oid t = t.ax_oid

@@ -10,6 +10,7 @@ type t = {
 }
 
 let create ?(oid = Ids.Oid.v "C") ?(instrument = true) ?(log_history = true) ctx =
+  Ctx.forbid_undo ctx (* the count is a plain ref *);
   { c_oid = oid; cell = ref 0; ctx; instrument; log_history }
 
 let oid t = t.c_oid

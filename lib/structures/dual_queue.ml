@@ -17,6 +17,7 @@ type t = {
 }
 
 let create ?(oid = Ids.Oid.v "DQ") ?(instrument = true) ?(log_history = true) ctx =
+  Ctx.forbid_undo ctx (* the state and the answers are plain refs *);
   { dq_oid = oid; cell = ref (Items []); ctx; instrument; log_history }
 
 let oid t = t.dq_oid

@@ -10,6 +10,7 @@ type t = {
 }
 
 let create ?(oid = Ids.Oid.v "DQ") ?(log_history = true) ~domain ctx =
+  Ctx.forbid_undo ctx (* persistent cells are not trailed *);
   { q_oid = oid; items = Pcell.create domain []; ctx; log_history }
 
 let loc t = "@" ^ Ids.Oid.to_string t.q_oid ^ ".items"

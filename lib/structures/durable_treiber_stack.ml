@@ -10,6 +10,7 @@ type t = {
 }
 
 let create ?(oid = Ids.Oid.v "DS") ?(log_history = true) ~domain ctx =
+  Ctx.forbid_undo ctx (* persistent cells are not trailed *);
   { st_oid = oid; top = Pcell.create domain []; ctx; log_history }
 
 let loc t = "@" ^ Ids.Oid.to_string t.st_oid ^ ".top"

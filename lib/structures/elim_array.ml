@@ -48,6 +48,8 @@ type t = {
 let create ?(oid = Ids.Oid.v "AR") ?(instrument = true) ?(log_history = true)
     ?(factory = concrete) ~k ~slot_strategy ctx =
   if k <= 0 then invalid_arg "Elim_array.create: k must be positive";
+  (* a seeded slot choice advances a generator the trail cannot see *)
+  (match slot_strategy with Seeded _ -> Ctx.forbid_undo ctx | All_slots -> ());
   let slots =
     Array.init k (fun i ->
         let sub = Ids.Oid.v (Ids.Oid.to_string oid ^ "[" ^ string_of_int i ^ "]") in

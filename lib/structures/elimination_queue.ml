@@ -16,6 +16,7 @@ type t = {
 
 let create ?(oid = Ids.Oid.v "EQ") ?(instrument = true) ?(log_history = true)
     ?(unsafe_skip_empty_check = false) ctx =
+  Ctx.forbid_undo ctx (* the waiter list and the answers are plain refs *);
   let q_oid = Ids.Oid.v (Ids.Oid.to_string oid ^ ".Q") in
   {
     eq_oid = oid;

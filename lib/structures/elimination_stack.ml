@@ -20,6 +20,8 @@ let create ?(oid = Ids.Oid.v "ES") ?(stack_oid = Ids.Oid.v "S")
   (match degrade_after with
   | Some k when k <= 0 -> invalid_arg "Elimination_stack.create: degrade_after <= 0"
   | _ -> ());
+  (* a backoff window and its generator live outside the trail *)
+  if Option.is_some backoff then Ctx.forbid_undo ctx;
   {
     es_oid = oid;
     stack = Treiber_stack.create ~oid:stack_oid ~instrument ~log_history:false ctx;
@@ -62,6 +64,8 @@ let degraded t ~tid rs =
       let now = Ctx.local_now t.ctx ~tid in
       match rs.deadline with
       | None ->
+          (* arming happens inside a step: trail it for rollback *)
+          Ctx.push_undo t.ctx (fun () -> rs.deadline <- None);
           rs.deadline <- Some (now + budget);
           false
       | Some d -> now >= d)

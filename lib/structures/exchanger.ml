@@ -35,6 +35,8 @@ let create ?(oid = Ids.Oid.v "E") ?(instrument = true) ?(log_history = true) ?wa
          pairing window is either fixed or drawn from the policy)"
   | Some w, None when w < 0 -> invalid_arg "Exchanger.create: wait must be >= 0"
   | _ -> ());
+  (* a backoff window and its generator live outside the trail *)
+  if Option.is_some backoff then Ctx.forbid_undo ctx;
   {
     xc_oid = oid;
     ctx;
@@ -55,9 +57,12 @@ let oid t = t.xc_oid
 (* Offer allocation happens inside a CAS step, thread-local until that very
    step publishes it; the hole gets its own tracked location. The uid
    counter is a plain ref on purpose — uids never reach the history, trace
-   or results, so the explorer must not order steps around it. *)
+   or results, so the explorer must not order steps around it — but it is
+   trailed: a rolled-back branch must hand out the same uids, and so the
+   same hole locations, as a replayed one. *)
 let fresh_offer t ~tid v =
   let uid = !(t.next_uid) in
+  Ctx.push_undo t.ctx (fun () -> t.next_uid := uid);
   incr t.next_uid;
   let hole =
     Cell.make t.ctx

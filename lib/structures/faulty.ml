@@ -2,10 +2,15 @@ open Cal
 open Conc
 open Prog.Infix
 
+(* Every object here keeps its state in plain refs (or persistent cells)
+   and forbids rollback: runs over them backtrack by prefix replay. *)
+
 module Counter_lost_update = struct
   type t = { oid : Ids.Oid.t; cell : int ref; ctx : Ctx.t }
 
-  let create ?(oid = Ids.Oid.v "C") ctx = { oid; cell = ref 0; ctx }
+  let create ?(oid = Ids.Oid.v "C") ctx =
+    Ctx.forbid_undo ctx;
+    { oid; cell = ref 0; ctx }
 
   (* BUG: the read and the write are separate steps, so two increments can
      interleave and both observe (and log) the same old value. *)
@@ -26,7 +31,9 @@ end
 module Stack_lost_pop = struct
   type t = { oid : Ids.Oid.t; top : Value.t list ref; ctx : Ctx.t }
 
-  let create ?(oid = Ids.Oid.v "S") ctx = { oid; top = ref []; ctx }
+  let create ?(oid = Ids.Oid.v "S") ctx =
+    Ctx.forbid_undo ctx;
+    { oid; top = ref []; ctx }
 
   let push t ~tid v =
     let body =
@@ -70,6 +77,7 @@ module Elim_stack_dup_elim = struct
   }
 
   let create ?(oid = Ids.Oid.v "ES") ctx =
+    Ctx.forbid_undo ctx;
     { oid; top = ref []; slot = ref None; ctx }
 
   (* push parks its value in the elimination slot (so a concurrent pop can
@@ -130,6 +138,7 @@ module Durable_stack_missing_flush = struct
   type t = { oid : Ids.Oid.t; top : Value.t list Pcell.t; ctx : Ctx.t }
 
   let create ?(oid = Ids.Oid.v "DS") ~domain ctx =
+    Ctx.forbid_undo ctx;
     { oid; top = Pcell.create domain []; ctx }
 
   let loc t = "@" ^ Ids.Oid.to_string t.oid ^ ".top"
@@ -205,7 +214,9 @@ end
 module Exchanger_selfish = struct
   type t = { oid : Ids.Oid.t; ctx : Ctx.t }
 
-  let create ?(oid = Ids.Oid.v "E") ctx = { oid; ctx }
+  let create ?(oid = Ids.Oid.v "E") ctx =
+    Ctx.forbid_undo ctx;
+    { oid; ctx }
 
   (* BUG: claims success with its own value, with no partner, while logging
      the failure element — the history disagrees with the trace. *)

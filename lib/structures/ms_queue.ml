@@ -14,6 +14,7 @@ type t = {
 }
 
 let create ?(oid = Ids.Oid.v "Q") ?(instrument = true) ?(log_history = true) ctx =
+  Ctx.forbid_undo ctx (* head, tail and links are plain refs *);
   let sentinel = { value = Value.unit; next = ref None } in
   { q_oid = oid; head = ref sentinel; tail = ref sentinel; ctx; instrument; log_history }
 

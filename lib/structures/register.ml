@@ -12,6 +12,7 @@ type t = {
 
 let create ?(oid = Ids.Oid.v "R") ?(init = Value.int 0) ?(instrument = true)
     ?(log_history = true) ctx =
+  Ctx.forbid_undo ctx (* the value is a plain ref *);
   { r_oid = oid; cell = ref init; init; ctx; instrument; log_history }
 
 let oid t = t.r_oid

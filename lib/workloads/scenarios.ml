@@ -18,6 +18,15 @@ type t = {
 let tid = Ids.Tid.of_int
 let no_observe threads = { Conc.Runner.threads; observe = None; on_label = None }
 
+(* The plain scenarios' programs are undoable (Conc.Ctx.declare_undoable):
+   their shared state lives in Cells, and every structure that keeps state
+   the undo trail cannot see (a plain ref, a backoff window, a seeded slot
+   choice) forbids rollback in its [create], so the explorer backtracks
+   those runs by prefix replay instead. *)
+let program ctx threads =
+  Conc.Ctx.declare_undoable ctx;
+  no_observe threads
+
 (* Views are pure functions of object names, so building them from an
    instance in a throwaway context is sound. *)
 let dummy_ctx () = Conc.Ctx.create ()
@@ -30,7 +39,7 @@ let exchanger_pair () =
     setup =
       (fun ctx ->
         let ex = Exchanger.create ctx in
-        no_observe
+        program ctx
           [|
             Exchanger.exchange ex ~tid:(tid 0) (Value.int 3);
             Exchanger.exchange ex ~tid:(tid 1) (Value.int 4);
@@ -50,7 +59,7 @@ let exchanger_trio () =
     setup =
       (fun ctx ->
         let ex = Exchanger.create ctx in
-        no_observe
+        program ctx
           [|
             Exchanger.exchange ex ~tid:(tid 0) (Value.int 3);
             Exchanger.exchange ex ~tid:(tid 1) (Value.int 4);
@@ -75,7 +84,7 @@ let exchanger_timed_pair ?(deadline = 4) () =
     setup =
       (fun ctx ->
         let ex = Exchanger.create ~wait:1 ctx in
-        no_observe
+        program ctx
           [|
             Exchanger.exchange_timed ex ~tid:(tid 0) ~deadline (Value.int 3);
             Exchanger.exchange_timed ex ~tid:(tid 1) ~deadline (Value.int 4);
@@ -95,7 +104,7 @@ let exchanger_abstract_pair () =
     setup =
       (fun ctx ->
         let ex = Abstract_exchanger.create ctx in
-        no_observe
+        program ctx
           [|
             Abstract_exchanger.exchange ex ~tid:(tid 0) (Value.int 3);
             Abstract_exchanger.exchange ex ~tid:(tid 1) (Value.int 4);
@@ -117,7 +126,7 @@ let elim_array_pair ~k =
     setup =
       (fun ctx ->
         let ar = mk ctx in
-        no_observe
+        program ctx
           [|
             Elim_array.exchange ar ~tid:(tid 0) (Value.int 3);
             Elim_array.exchange ar ~tid:(tid 1) (Value.int 4);
@@ -143,7 +152,7 @@ let elim_stack_push_pop ?(abstract = false) ~k () =
     setup =
       (fun ctx ->
         let es = make_es ~abstract ~k ctx in
-        no_observe
+        program ctx
           [|
             Elimination_stack.push es ~tid:(tid 0) (Value.int 5);
             Elimination_stack.pop es ~tid:(tid 1);
@@ -165,7 +174,7 @@ let elim_stack_two_two ?(abstract = false) ~k () =
     setup =
       (fun ctx ->
         let es = make_es ~abstract ~k ctx in
-        no_observe
+        program ctx
           [|
             Elimination_stack.push es ~tid:(tid 0) (Value.int 1);
             Elimination_stack.push es ~tid:(tid 1) (Value.int 2);
@@ -188,7 +197,7 @@ let elim_stack_sequential_then_pop ~k =
     setup =
       (fun ctx ->
         let es = make_es ~k ctx in
-        no_observe
+        program ctx
           [|
             (let* _ = Elimination_stack.push es ~tid:(tid 0) (Value.int 1) in
              let* _ = Elimination_stack.push es ~tid:(tid 0) (Value.int 2) in
@@ -212,7 +221,7 @@ let sync_queue_pair () =
     setup =
       (fun ctx ->
         let q = mk ctx in
-        no_observe
+        program ctx
           [| Sync_queue.put q ~tid:(tid 0) (Value.int 7); Sync_queue.take q ~tid:(tid 1) |]);
     spec = Sync_queue.spec probe;
     view = Sync_queue.view probe;
@@ -230,7 +239,7 @@ let sync_queue_two_producers () =
     setup =
       (fun ctx ->
         let q = Sync_queue.create ~attempts:1 ctx in
-        no_observe
+        program ctx
           [|
             Sync_queue.put q ~tid:(tid 0) (Value.int 1);
             Sync_queue.put q ~tid:(tid 1) (Value.int 2);
@@ -252,7 +261,7 @@ let dual_queue_enq_deq () =
     setup =
       (fun ctx ->
         let q = Dual_queue.create ctx in
-        no_observe
+        program ctx
           [| Dual_queue.enq q ~tid:(tid 0) (Value.int 7); Dual_queue.deq q ~tid:(tid 1) |]);
     spec = Dual_queue.spec probe;
     view = Dual_queue.view probe;
@@ -270,7 +279,7 @@ let dual_queue_two_consumers () =
     setup =
       (fun ctx ->
         let q = Dual_queue.create ctx in
-        no_observe
+        program ctx
           [|
             Dual_queue.deq q ~tid:(tid 0);
             Dual_queue.deq q ~tid:(tid 1);
@@ -292,7 +301,7 @@ let elim_queue_enq_deq () =
     setup =
       (fun ctx ->
         let q = Elimination_queue.create ctx in
-        no_observe
+        program ctx
           [|
             Elimination_queue.enq q ~tid:(tid 0) (Value.int 7);
             Elimination_queue.deq q ~tid:(tid 1);
@@ -314,7 +323,7 @@ let elim_queue_fifo () =
     setup =
       (fun ctx ->
         let q = Elimination_queue.create ctx in
-        no_observe
+        program ctx
           [|
             (let* _ = Elimination_queue.enq q ~tid:(tid 0) (Value.int 1) in
              Elimination_queue.enq q ~tid:(tid 0) (Value.int 2));
@@ -337,7 +346,7 @@ let counter_incrs ~n =
     setup =
       (fun ctx ->
         let c = Counter.create ctx in
-        no_observe (Array.init n (fun i -> Counter.incr c ~tid:(tid i))));
+        program ctx (Array.init n (fun i -> Counter.incr c ~tid:(tid i))));
     spec = Spec_counter.spec ();
     view = View.identity;
     fuel = 20 * n;
@@ -353,7 +362,7 @@ let register_write_read () =
     setup =
       (fun ctx ->
         let r = Register.create ctx in
-        no_observe
+        program ctx
           [|
             (let* _ = Register.write r ~tid:(tid 0) (Value.int 1) in
              Register.read r ~tid:(tid 0));
@@ -375,7 +384,7 @@ let treiber_push_pop () =
     setup =
       (fun ctx ->
         let s = Treiber_stack.create ctx in
-        no_observe
+        program ctx
           [|
             (let* _ = Treiber_stack.push s ~tid:(tid 0) (Value.int 1) in
              Treiber_stack.pop s ~tid:(tid 0));
@@ -397,7 +406,7 @@ let ms_queue_enq_deq () =
     setup =
       (fun ctx ->
         let q = Ms_queue.create ctx in
-        no_observe
+        program ctx
           [|
             (let* _ = Ms_queue.enq q ~tid:(tid 0) (Value.int 1) in
              Ms_queue.deq q ~tid:(tid 0));
@@ -421,7 +430,7 @@ let faulty_elim_queue () =
     setup =
       (fun ctx ->
         let q = Elimination_queue.create ~unsafe_skip_empty_check:true ctx in
-        no_observe
+        program ctx
           [|
             (let* _ = Elimination_queue.enq q ~tid:(tid 0) (Value.int 1) in
              Elimination_queue.enq q ~tid:(tid 0) (Value.int 2));
@@ -445,7 +454,7 @@ let faulty_elim_stack ?(pushers = 1) ?(poppers = 2) () =
     setup =
       (fun ctx ->
         let s = Faulty.Elim_stack_dup_elim.create ctx in
-        no_observe
+        program ctx
           (Array.init (pushers + poppers) (fun i ->
                if i < pushers then
                  Faulty.Elim_stack_dup_elim.push s ~tid:(tid i)
@@ -466,7 +475,7 @@ let faulty_counter () =
     setup =
       (fun ctx ->
         let c = Faulty.Counter_lost_update.create ctx in
-        no_observe
+        program ctx
           [|
             Faulty.Counter_lost_update.incr c ~tid:(tid 0);
             Faulty.Counter_lost_update.incr c ~tid:(tid 1);
@@ -486,7 +495,7 @@ let faulty_stack () =
     setup =
       (fun ctx ->
         let s = Faulty.Stack_lost_pop.create ctx in
-        no_observe
+        program ctx
           [|
             (let* _ = Faulty.Stack_lost_pop.push s ~tid:(tid 0) (Value.int 1) in
              Faulty.Stack_lost_pop.pop s ~tid:(tid 0));
@@ -507,7 +516,7 @@ let faulty_exchanger () =
     setup =
       (fun ctx ->
         let e = Faulty.Exchanger_selfish.create ctx in
-        no_observe
+        program ctx
           [|
             Faulty.Exchanger_selfish.exchange e ~tid:(tid 0) (Value.int 1);
             Faulty.Exchanger_selfish.exchange e ~tid:(tid 1) (Value.int 2);

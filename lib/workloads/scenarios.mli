@@ -12,6 +12,9 @@ type t = {
   description : string;
   threads : int;
   setup : Conc.Ctx.t -> Conc.Runner.program;
+      (** declares its program undoable ({!Conc.Ctx.declare_undoable}):
+          the explorer backtracks it by rollback unless a structure it
+          builds forbids that *)
   spec : Cal.Spec.t;
   view : Cal.View.t;
   fuel : int;  (** enough decisions for every thread to finish, with slack *)
