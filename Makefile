@@ -26,11 +26,11 @@ cross-check-dpor:
 	CAL_EXPLORE_STRATEGY=dpor dune exec test/test_timeouts.exe
 
 # Verdict cross-check along the domain axis: the whole suite must pass
-# identically with every exploration spread over two worker domains and
-# the shared verdict cache on. Oversubscription lifts the hardware cap so
-# the two workers genuinely run (and steal) even on a one-core box.
+# identically with every exploration spread over two worker domains.
+# Oversubscription lifts the hardware cap so the two workers genuinely
+# run (and steal) even on a one-core box.
 check-parallel:
-	CAL_EXPLORE_DOMAINS=2 CAL_EXPLORE_OVERSUBSCRIBE=1 CAL_VERDICT_CACHE=1 dune runtest --force
+	CAL_EXPLORE_DOMAINS=2 CAL_EXPLORE_OVERSUBSCRIBE=1 dune runtest --force
 
 # Bechamel tables plus every figure at reduced fuel ("quick"); its JSON goes
 # to _build/bench-smoke/, never over the committed BENCH_*.json.
@@ -52,13 +52,13 @@ bench-crash:
 bench-explore:
 	dune exec bench/main.exe -- explore
 
-# Regenerate only BENCH_parallel.json (the B14 parallel-exploration +
-# verdict-cache figure) at full fuel. Asserts in-process that every cell
-# reports byte-identical verdicts and that every multi-worker cell stole
-# work; on hardware with >= 4 cores it additionally requires the headline
-# scenario cache-off at 4 domains >= 3x and cached >= 2x over the
-# sequential engine (single-core boxes run the domain axis oversubscribed,
-# where wall-clock asserts would only measure timesharing).
+# Regenerate only BENCH_parallel.json (the B14 parallel-exploration
+# figure) at full fuel. Asserts in-process that every cell reports
+# byte-identical verdicts and that every multi-worker cell stole work; on
+# hardware with >= 4 cores it additionally requires the headline scenario
+# at 4 domains >= 3x over the sequential engine (single-core boxes run the
+# domain axis oversubscribed, where wall-clock asserts would only measure
+# timesharing; such rows publish no speedup).
 bench-parallel:
 	dune exec bench/main.exe -- parallel
 

@@ -55,11 +55,11 @@ let bounded = function
    (default: its own), deciding the trace obligation, or CAL on the
    history alone when [black_box]. *)
 let exhaustive ?(strategy = bounded None) ?domains ?fuel ?(black_box = false)
-    ?cache (s : S.t) =
+    (s : S.t) =
   {
     (S.config s) with
     obligation =
-      (if black_box then History { spec = s.spec; checker = `Cal; cache }
+      (if black_box then History { spec = s.spec; checker = `Cal }
        else Trace { spec = s.spec; view = s.view });
     search = Exhaustive { strategy; domains; max_runs = None };
     fuel = Option.value fuel ~default:s.fuel;
@@ -699,74 +699,45 @@ let figure_crash () =
   close_out oc;
   Fmt.pr "# rows written to %s@." path
 
-(* B14 — parallel exploration with the canonical-history verdict cache:
-   black-box verification wall-clock across worker-domain counts, cache on
-   and off. Verdict equality with the sequential cache-less baseline is
+(* B14 — parallel exploration: black-box verification wall-clock across
+   worker-domain counts. Verdict equality with the sequential baseline is
    asserted on every row — runs, complete runs and problems must match
-   byte-for-byte — so the speedup cannot change what is verified. On a
-   single hardware core the domain axis shows the coordination overhead
-   is small; the headline speedup comes from the verdict cache, which
-   collapses the checker work of schedule-permuted-but-canonically-equal
-   histories into one computation shared across domains. Wall-clock uses
-   Unix.gettimeofday: Sys.time sums CPU time over every domain, which
-   would misreport any multi-domain run. Results land in
-   BENCH_parallel.json.
-
-   The B14 preamble also micro-asserts that the accumulator-based
-   [Cal_checker.subsets_up_to] rewrite preserved the checker's search
-   exactly: [states_explored] on fixed seeded exchanger histories must
-   equal the values recorded before the rewrite. test_checkers runs the
-   same assertion under [dune runtest]. *)
+   byte-for-byte — so the speedup cannot change what is verified, and
+   every row that ran more than one worker must have stolen work.
+   Wall-clock uses Unix.gettimeofday: Sys.time sums CPU time over every
+   domain, which would misreport any multi-domain run. Results land in
+   BENCH_parallel.json; a row that timeshared cores (oversubscribed, or
+   more domains requested than the host has) publishes no speedup. *)
 let figure_parallel () =
-  (* recorded with the pre-rewrite quadratic subsets_up_to; the rewrite
-     must not change the enumeration, hence not the search *)
-  List.iter
-    (fun (elements, expect) ->
-      let h = exchanger_history ~elements 11L in
-      let stats =
-        match Cal_checker.check ~spec:ex_spec h with
-        | Cal_checker.Accepted { stats; _ } -> stats
-        | Cal_checker.Rejected { stats; _ } -> stats
-      in
-      if stats.Cal_checker.states_explored <> expect then
-        Fmt.failwith
-          "B14: subsets_up_to rewrite changed the checker search: %d elements \
-           explored %d states (expected %d)"
-          elements stats.Cal_checker.states_explored expect)
-    [ (2, 2); (4, 4); (6, 6) ];
   let fuel = if quick then 12 else 16 in
   let domain_counts = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
   let cores = Domain.recommended_domain_count () in
   (* On a single-core box every multi-domain request would silently cap to
      one worker and the stealing machinery would never run. Oversubscribe
      instead: wall-clock speedups then mean nothing (the rows say so via
-     the [oversubscribed] flag, and the speedup asserts below are gated on
-     real hardware), but the engine genuinely distributes work, so the
-     nonzero-steal and byte-identical-report asserts still bite. *)
+     the [oversubscribed] flag and publish no speedup, and the speedup
+     assert below is gated on real hardware), but the engine genuinely
+     distributes work, so the nonzero-steal and byte-identical-report
+     asserts still bite. *)
   let oversub = cores < 2 in
   let prev_oversub = Sys.getenv_opt "CAL_EXPLORE_OVERSUBSCRIBE" in
   if oversub then Unix.putenv "CAL_EXPLORE_OVERSUBSCRIBE" "1";
-  Fmt.pr
-    "@.# B14: parallel black-box verification + verdict cache (%d hw cores%s)@."
-    cores
+  Fmt.pr "@.# B14: parallel black-box verification (%d hw cores%s)@." cores
     (if oversub then ", oversubscribed" else "");
-  Fmt.pr "%-26s %5s %8s %5s %6s %9s %11s %8s %9s %9s@." "scenario" "fuel"
-    "domains" "used" "cache" "runs" "cache-hits" "stolen" "ms" "speedup";
+  Fmt.pr "%-26s %5s %8s %5s %9s %8s %9s %9s@." "scenario" "fuel" "domains"
+    "used" "runs" "stolen" "ms" "speedup";
   (* One measured cell: run the check, assert its report is byte-identical
-     to the sequential uncached baseline (verdict-cache hit counts may
-     differ by a benign compute race, nothing else may), print and record
-     it. [reps] takes the best of several runs to tame GC/scheduler
-     noise. *)
-  let cell ~(s : S.t) ~fuel ~bound ~reps ~base ~base_ms ~domains ~cache () =
+     to the sequential baseline, print and record it. [reps] takes the
+     best of several runs to tame GC/scheduler noise. The speedup is
+     [None] where the wall clock measures timesharing, not the engine. *)
+  let cell ~(s : S.t) ~fuel ~bound ~reps ~base ~base_ms ~domains () =
     let run () =
       (* Level the major heap between cells: the allocation left behind by
          one cell otherwise drifts the GC cost of the next. *)
       Gc.compact ();
       let t0 = Unix.gettimeofday () in
       let r =
-        O.check
-          (exhaustive ~strategy:(bounded bound) ~domains ~fuel ~black_box:true
-             ~cache s)
+        O.check (exhaustive ~strategy:(bounded bound) ~domains ~fuel ~black_box:true s)
       in
       (r, (Unix.gettimeofday () -. t0) *. 1000.)
     in
@@ -792,38 +763,35 @@ let figure_parallel () =
           || messages r <> messages base
         then
           Fmt.failwith
-            "B14: %s domains=%d cache=%b diverged from the sequential \
-             baseline (%d runs vs %d)"
-            s.name domains cache r.Verify.Obligations.runs
+            "B14: %s domains=%d diverged from the sequential baseline (%d \
+             runs vs %d)"
+            s.name domains r.Verify.Obligations.runs
             base.Verify.Obligations.runs);
-    let hits, stolen, used =
+    let stolen, used =
       match r.exploration with
-      | Some e ->
-          (e.Conc.Explore.cache_hits, e.Conc.Explore.tasks_stolen,
-           e.Conc.Explore.domains_used)
-      | None -> (0, 0, 1)
+      | Some e -> (e.Conc.Explore.tasks_stolen, e.Conc.Explore.domains_used)
+      | None -> (0, 1)
     in
-    if cache && hits = 0 && r.Verify.Obligations.runs > 1 then
-      Fmt.failwith "B14: %s domains=%d: cache enabled but 0 hits" s.name domains;
-    (* the tentpole regression: whenever several workers actually ran, work
-       must have been distributed — a zero here means the engine degraded
-       to static one-task execution *)
+    (* whenever several workers actually ran, work must have been
+       distributed — a zero here means the engine degraded to static
+       one-task execution *)
     if used > 1 && stolen = 0 then
       Fmt.failwith "B14: %s domains=%d (used %d): no tasks were stolen" s.name
         domains used;
     let speedup =
-      if base_ms <= 0. then 1.0 else base_ms /. Float.max 0.001 ms
+      (* oversubscribed rows are a case of this: [oversub] means one core *)
+      if cores < domains then None
+      else if base_ms <= 0. then Some 1.0
+      else Some (base_ms /. Float.max 0.001 ms)
     in
-    Fmt.pr "%-26s %5d %8d %5d %6s %9d %11d %8d %9.1f %8.1fx@." s.name fuel
-      domains used
-      (if cache then "on" else "off")
-      r.Verify.Obligations.runs hits stolen ms speedup;
-    ((s.S.name, fuel, domains, used, cache, r.Verify.Obligations.runs, hits,
-      stolen, ms, speedup),
+    Fmt.pr "%-26s %5d %8d %5d %9d %8d %9.1f %9s@." s.name fuel domains used
+      r.Verify.Obligations.runs stolen ms
+      (Option.fold speedup ~none:"-" ~some:(Fmt.str "%.1fx"));
+    ((s.S.name, fuel, domains, used, r.Verify.Obligations.runs, stolen, ms,
+      speedup),
      r, ms)
   in
-  (* Positive scenarios: the domain axis and the cache hit rates on
-     verifications that accept. *)
+  (* Positive scenarios: the domain axis on verifications that accept. *)
   let scenarios =
     [ S.treiber_push_pop (); S.exchanger_trio (); S.elim_stack_push_pop ~k:1 () ]
   in
@@ -831,47 +799,37 @@ let figure_parallel () =
     List.concat_map
       (fun (s : S.t) ->
         let row0, base, base_ms =
-          cell ~s ~fuel ~bound:s.bound ~reps:1 ~base:None ~base_ms:0. ~domains:1
-            ~cache:false ()
+          cell ~s ~fuel ~bound:s.bound ~reps:1 ~base:None ~base_ms:0. ~domains:1 ()
         in
         if not (Verify.Obligations.ok base) then
           Fmt.failwith "B14: %s unexpectedly failed verification" s.name;
-        let base = Some base in
         row0
-        :: List.concat_map
+        :: List.filter_map
              (fun domains ->
-               List.filter_map
-                 (fun cache ->
-                   if domains = 1 && not cache then None
-                   else
-                     let row, _, _ =
-                       cell ~s ~fuel ~bound:s.bound ~reps:1 ~base ~base_ms
-                         ~domains ~cache ()
-                     in
-                     Some row)
-                 [ false; true ])
+               if domains = 1 then None
+               else
+                 let row, _, _ =
+                   cell ~s ~fuel ~bound:s.bound ~reps:1 ~base:(Some base)
+                     ~base_ms ~domains ()
+                 in
+                 Some row)
              domain_counts)
       scenarios
   in
   (* Headline: the checker-bound sweep. The sticky-slot elimination stack
      rejects on most deep schedules, and a rejection must exhaust every
      drop subset of the pending pops — so the CAL checker, not the
-     exploration, dominates the sequential baseline, and the shared
-     verdict cache (hit rate ~99%: canonical classes are few) carries the
-     speedup. Fuel stays 16 in quick mode: this row is the acceptance
-     measurement. *)
+     exploration, dominates the sequential baseline. Fuel stays 16 in
+     quick mode: this row is the acceptance measurement. *)
   let storm = S.faulty_elim_stack ~pushers:1 ~poppers:4 () in
   let sfuel = 16 and sbound = Some 3 in
   let sbase_row, sbase, sbase_ms =
     cell ~s:storm ~fuel:sfuel ~bound:sbound ~reps:3 ~base:None ~base_ms:0.
-      ~domains:1 ~cache:false ()
+      ~domains:1 ()
   in
   if sbase.Verify.Obligations.problems = [] then
     Fmt.failwith "B14: %s found no problems (bug not exercised)" storm.name;
-  (* Cache-off domain axis first: raw exploration scaling, the tentpole
-     measurement. Then the cached cells, where the verdict cache collapses
-     the checker work on top of the parallel exploration. *)
-  let storm_raw_cells =
+  let storm_cells =
     List.filter_map
       (fun domains ->
         if domains = 1 then None
@@ -879,62 +837,39 @@ let figure_parallel () =
           Some
             ( domains,
               cell ~s:storm ~fuel:sfuel ~bound:sbound ~reps:3
-                ~base:(Some sbase) ~base_ms:sbase_ms ~domains ~cache:false ()
-            ))
-      domain_counts
-  in
-  let storm_cells =
-    List.map
-      (fun domains ->
-        (domains,
-         cell ~s:storm ~fuel:sfuel ~bound:sbound ~reps:3 ~base:(Some sbase)
-           ~base_ms:sbase_ms ~domains ~cache:true ()))
+                ~base:(Some sbase) ~base_ms:sbase_ms ~domains () ))
       domain_counts
   in
   (* Wall-clock asserts only where wall-clock is meaningful: a timeshared
      (oversubscribed or capped) run measures scheduler noise, not the
      engine. *)
   (if cores >= 4 then
-     match List.assoc_opt 4 storm_raw_cells with
+     match List.assoc_opt 4 storm_cells with
      | None -> ()
      | Some (_, _, ms4) ->
          let speedup = sbase_ms /. Float.max 0.001 ms4 in
          if speedup < 3.0 then
            Fmt.failwith
-             "B14: %s at 4 domains cache-off is only %.2fx over the \
-              sequential engine (>= 3x required)"
-             storm.name speedup);
-  (if not oversub then
-     match List.assoc_opt 4 storm_cells with
-     | None -> ()
-     | Some (_, _, ms4) ->
-         let speedup = sbase_ms /. Float.max 0.001 ms4 in
-         if speedup < 2.0 then
-           Fmt.failwith
-             "B14: %s at 4 domains + cache is only %.2fx over the sequential \
-              engine (>= 2x required)"
+             "B14: %s at 4 domains is only %.2fx over the sequential engine \
+              (>= 3x required)"
              storm.name speedup);
   let rows =
-    rows
-    @ (sbase_row
-       :: (List.map (fun (_, (row, _, _)) -> row) storm_raw_cells
-           @ List.map (fun (_, (row, _, _)) -> row) storm_cells))
+    rows @ (sbase_row :: List.map (fun (_, (row, _, _)) -> row) storm_cells)
   in
   let path = bench_path "BENCH_parallel.json" in
   let oc = open_out path in
-  let json_row
-      (name, fuel, domains, used, cache, runs, hits, stolen, ms, speedup) =
+  let json_row (name, fuel, domains, used, runs, stolen, ms, speedup) =
     Printf.sprintf
       "    {\"scenario\": %S, \"fuel\": %d, \"domains\": %d, \
        \"domains_used\": %d, \"oversubscribed\": %b, \
-       \"degraded_no_cores\": %b, \"cache\": %b, \
-       \"runs\": %d, \"cache_hits\": %d, \"tasks_stolen\": %d, \
-       \"wall_ms\": %.3f, \"speedup\": %.3f}"
+       \"degraded_no_cores\": %b, \"runs\": %d, \"tasks_stolen\": %d, \
+       \"wall_ms\": %.3f, \"speedup\": %s}"
       name fuel domains used
       (oversub && domains > 1)
       (* the machine has fewer cores than the requested domains: the
          wall-clock column measures contention, not the engine *)
-      (cores < domains) cache runs hits stolen ms speedup
+      (cores < domains) runs stolen ms
+      (Option.fold speedup ~none:"null" ~some:(Printf.sprintf "%.3f"))
   in
   Printf.fprintf oc
     "{\n  \"bench\": \"parallel_explore\",\n  \"hw_cores\": %d,\n  \

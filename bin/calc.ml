@@ -58,7 +58,7 @@ let verify_scenario ~mode ?max_runs ~fuel (s : S.t) =
       obligation =
         (match mode with
         | `Obligations -> config.obligation
-        | `Black_box -> History { spec = s.spec; checker = `Cal; cache = None });
+        | `Black_box -> History { spec = s.spec; checker = `Cal });
       search =
         (match config.search with
         | Exhaustive e -> Exhaustive { e with max_runs }

@@ -332,8 +332,8 @@ let canonicalize h =
   done;
   out
 
-(* The key is built with a plain [Buffer] rather than [Action.show]: the
-   cache pays the key cost on every outcome, hit or miss, so a Fmt-based
+(* The key is built with a plain [Buffer] rather than [Action.show]: a
+   cache pays the key cost on every lookup, hit or miss, so a Fmt-based
    key would cost as much as the checker call it saves. Strings are
    netstring-style length-prefixed, so distinct actions never collide. *)
 let add_str buf s =

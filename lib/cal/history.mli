@@ -159,9 +159,9 @@ val with_responses : Action.t list -> (int * Action.t) list -> t
     invariant under them. The canonical form picks one representative per
     equivalence class by sorting each maximal run of same-kind actions
     with {!Action.compare}; crash markers are hard boundaries that no
-    action may cross. This is the key quotient behind the shared verdict
-    cache ({!Verdict_cache}): schedule-permuted-but-equivalent histories
-    collide on {!canonical_key} and pay one checker call. *)
+    action may cross. This is the key quotient behind the service's
+    verdict cache ({!Verdict_cache}): schedule-permuted-but-equivalent
+    windows collide on {!canonical_key} and pay one checker call. *)
 
 val canonicalize : t -> t
 (** The canonical representative: idempotent, well-formedness- and

@@ -13,9 +13,8 @@ let clamp ~lo ~hi v = max lo (min hi v)
    so scale exponentially with the operation count up to a cap. *)
 let checker_table_size ~ops = 1 lsl clamp ~lo:6 ~hi:13 ops
 
-(* The shared verdict cache is unbounded by default — exploration runs
-   are one-shot, and eviction there only buys recomputation. Long-running
-   deployments bound it via the environment. *)
+(* The bound of the streaming service's verdict cache (calc serve);
+   unset means unbounded. *)
 let verdict_cache_capacity () =
   match Sys.getenv_opt "CAL_VERDICT_CACHE_CAP" with
   | None | Some "" -> None
@@ -31,7 +30,6 @@ let env_flag v =
   | _ -> false
 
 let explore_oversubscribe () = env_flag "CAL_EXPLORE_OVERSUBSCRIBE"
-let verdict_cache_default () = env_flag "CAL_VERDICT_CACHE"
 
 let explore_domains () =
   match Sys.getenv_opt "CAL_EXPLORE_DOMAINS" with

@@ -13,19 +13,14 @@ val checker_table_size : ops:int -> int
     operations: [2^ops] clamped to [64, 8192]. *)
 
 val verdict_cache_capacity : unit -> int option
-(** The {!Verdict_cache} capacity bound from [CAL_VERDICT_CACHE_CAP]
-    (a positive integer; unset, empty or invalid means unbounded).
-    Exploration engines stay unbounded by default; long-running services
-    set the variable to cap memo growth. *)
+(** The capacity bound of the streaming service's {!Verdict_cache}
+    ([calc serve]) from [CAL_VERDICT_CACHE_CAP] (a positive integer;
+    unset, empty or invalid means unbounded). *)
 
 val explore_oversubscribe : unit -> bool
 (** [CAL_EXPLORE_OVERSUBSCRIBE] is on ([1]/[true]/[yes]/[on]): the
     parallel explorer spawns as many worker domains as requested, past
     the hardware's core count ({!Conc.Par_explore.effective_domains}). *)
-
-val verdict_cache_default : unit -> bool
-(** [CAL_VERDICT_CACHE] is on ([1]/[true]/[yes]/[on]): black-box checks
-    that do not say otherwise share a {!Verdict_cache}. *)
 
 val explore_domains : unit -> int
 (** Default worker-domain count of the obligation checks, from

@@ -1,53 +1,40 @@
-(** A canonical-history verdict cache, shared across worker domains.
+(** A verdict memo on caller-built keys, for one domain.
 
-    Exploration delivers many schedules whose histories differ only by the
-    interleaving of adjacent same-kind actions; {!History.canonical_key}
-    collapses each such class to one key, and this cache stores the
-    checker verdict for the class so it is computed once. The shared
-    level is sharded and each shard is protected by its own [Mutex], so
-    domains of the parallel explorer ({!Conc.Par_explore}) share it
-    safely with short, mostly uncontended critical sections. When the
-    cache is unbounded (the exploration default), each domain
-    additionally keeps a private front table duplicating the verdicts it
-    has already seen, so repeat lookups — the vast majority under
-    canonical-class collapse — take no lock; the per-domain hit counters
-    are folded into {!hits}. The front tables belong to the cache, so a
-    dropped cache is collected whole. Bounded
-    caches skip the front tables so {!size} and eviction stay exact.
+    The streaming service's overflow path
+    ([Service.Session.check_verdict]) keys a checker verdict on the
+    committed spec state and the {!History.canonical_key} of the pending
+    window, so canonically equal windows pay for one checker call. The
+    exhaustive checks keep no such memo: the checker costs less than the
+    canonical key that would skip it.
 
-    A cache instance is meant to live for one check invocation (one
+    A cache instance is meant to live for one check scope (one
     specification, one checker mode): the caller builds keys that are
-    unique within that scope — typically
-    [History.canonical_key h ^ crashed-set ^ checker-tag]. Rejection
-    {e reasons} of the checkers depend only on the specification name and
-    the crash structure of the history, both canonical-form-invariant, so
-    caching the full [(unit, string) result] verdict is sound. *)
+    unique within that scope. Rejection {e reasons} of the checkers depend
+    only on the specification name and the crash structure of the
+    history, both canonical-form-invariant, so caching the full
+    [(unit, string) result] verdict is sound.
+
+    The table is not synchronised: use one cache from one domain at a
+    time. *)
 
 type verdict = (unit, string) result
 
 type t
 
-val create : ?shards:int -> ?capacity:int -> unit -> t
-(** A fresh empty cache with [shards] (default 16) independently locked
-    shards. [capacity] bounds the total number of stored verdicts:
-    each shard evicts beyond its slice of the budget in insertion (FIFO)
-    order. Eviction is verdict-transparent — re-lookups recompute the
+val create : ?capacity:int -> unit -> t
+(** A fresh empty cache. [capacity] bounds the number of stored verdicts
+    (at least one): beyond it the oldest insertion is evicted first
+    (FIFO). Eviction is verdict-transparent — re-lookups recompute the
     same deterministic verdict — so bounding only trades recomputation
     for memory; long-running callers (the streaming service) should
-    bound, one-shot exploration need not. Small capacities reduce the
-    shard count (each shard keeps at least four slots) so hash skew
-    cannot evict far below the budget. *)
+    bound. *)
 
 val find_or_compute : t -> key:string -> (unit -> verdict) -> verdict
 (** [find_or_compute t ~key compute] returns the cached verdict for
-    [key], or runs [compute ()] (outside any lock — it may run more than
-    once under a parallel race, which is benign for deterministic
-    verdicts), stores and returns it. *)
+    [key], or runs [compute ()], stores and returns its verdict. *)
 
 val hits : t -> int
-(** Lookups answered from the cache — shared-table hits plus every
-    domain's private front-table hits. Exact once the worker domains
-    have joined (a concurrent reader may see a slightly stale sum). *)
+(** Lookups answered from the cache. *)
 
 val misses : t -> int
 (** Lookups that ran [compute]. *)

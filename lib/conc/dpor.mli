@@ -1,10 +1,12 @@
-(** Source-DPOR: the verdict-complete partial-order reduction.
+(** Source-DPOR: the partial-order reduction of the schedule tree.
 
     {!source} explores one interleaving per Mazurkiewicz trace of the
-    over-approximated dependence relation ({!Deps}): it is {e complete} —
-    every pruned schedule is equivalent to a delivered one with
-    byte-identical history, trace and results, so verdicts are preserved
-    exactly.
+    over-approximated dependence relation ({!Deps}). It is meant to be
+    complete — every pruned schedule equivalent to a delivered one with
+    byte-identical history, trace and results — but is not yet: runs cut
+    at the fuel bound and guards that keep a thread blocked (they record
+    no footprint) both hide races, so some histories of the full DFS are
+    never delivered ({!Explore.strategy} gives the measurements).
 
     The engine accepts a schedule [prefix] and is composed with
     {!Par_explore} by root-splitting ({!Explore.exhaustive} with
@@ -40,5 +42,5 @@ val source :
     state). [gate] is a shared run budget consulted before each delivery
     (refusal truncates); [abort] is consulted before each node (refusal
     abandons the search with partial stats). Stats report [races_found],
-    [backtrack_points] and [sleep_pruned]; [bounded] is [false] — the
-    reduction is verdict-complete. *)
+    [backtrack_points] and [sleep_pruned]; [bounded] is [false], although
+    the two gaps above can still drop histories. *)

@@ -16,7 +16,6 @@ type stats = {
   backtrack_points : int;
   bound_hits : int;
   bounded : bool;
-  cache_hits : int;
   tasks_stolen : int;
   domains_used : int;
   domains_requested : int;
@@ -38,7 +37,6 @@ let empty_stats =
     backtrack_points = 0;
     bound_hits = 0;
     bounded = false;
-    cache_hits = 0;
     tasks_stolen = 0;
     domains_used = 1;
     domains_requested = 1;
@@ -60,7 +58,6 @@ let merge_stats a b =
     backtrack_points = a.backtrack_points + b.backtrack_points;
     bound_hits = a.bound_hits + b.bound_hits;
     bounded = a.bounded || b.bounded;
-    cache_hits = a.cache_hits + b.cache_hits;
     tasks_stolen = a.tasks_stolen + b.tasks_stolen;
     domains_used = max a.domains_used b.domains_used;
     domains_requested = max a.domains_requested b.domains_requested;

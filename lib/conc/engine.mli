@@ -39,9 +39,6 @@ type stats = {
           actually cut at least one edge ([bound_hits > 0]); a bounded
           search whose bound never bit reports [false] — the exploration
           was complete *)
-  cache_hits : int;
-      (** verdict-cache hits, patched in by the caller that owns the cache
-          ({!Verify.Obligations}); always [0] straight out of the engine *)
   tasks_stolen : int;
       (** parallel front: donated subtree chunks claimed from the shared
           pool (every task except the initial root) *)

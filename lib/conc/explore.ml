@@ -9,7 +9,6 @@ type stats = Engine.stats = {
   backtrack_points : int;
   bound_hits : int;
   bounded : bool;
-  cache_hits : int;
   tasks_stolen : int;
   domains_used : int;
   domains_requested : int;

@@ -20,8 +20,9 @@
     O(nodes × depth) for a whole-prefix replay at every node (the seed
     engine, kept as {!exhaustive_via_replay} for cross-checks and
     benchmarks). Reductions of the tree are explicit {!strategy} values:
-    source-DPOR (verdict-complete) and the preemption/delay-bounded
-    searches, which are the same DFS with a schedule bound.
+    source-DPOR (meant to preserve every history, with two known gaps,
+    see {!strategy}) and the preemption/delay-bounded searches, which are
+    the same DFS with a schedule bound.
 
     {b Parallel exploration.} Every exhaustive entry point takes
     [?domains] (default [1]): with [domains >= 2] the schedule tree is
@@ -66,9 +67,6 @@ type stats = Engine.stats = {
           an honest underapproximation (sound for bug-finding only).
           [false] means the sweep was exhaustive, whichever strategy or
           [preemption_bound] produced it *)
-  cache_hits : int;
-      (** canonical-history verdict-cache hits, patched in by
-          {!Verify.Obligations}; always [0] straight out of the engine *)
   tasks_stolen : int;
       (** donated subtree chunks claimed from the parallel pool ([0] for
           the sequential engine) *)
@@ -106,9 +104,19 @@ val merge_stats : stats -> stats -> stats
 
     - {!Dpor}: source-DPOR over the vector-clock happens-before relation
       ({!Deps}/{!Dpor}) — explores one interleaving per Mazurkiewicz trace
-      of the over-approximated dependence. {e Complete}: verdicts are
-      preserved exactly (every pruned schedule has a delivered equivalent
-      with byte-identical history, trace and results).
+      of the over-approximated dependence, and is meant to give every
+      pruned schedule a delivered equivalent with a byte-identical
+      history. It does {e not} yet: against the full DFS's set of
+      canonical histories it misses some (at fuel 8 on 20 of the 25
+      [Workloads.Scenarios.all] scenarios, and at their own fuel on
+      [elim-stack-push-pop-k1], its [-abstract] twin and
+      [dual-queue-two-consumers]), for two reasons. A run cut at the fuel
+      bound never sees a race with a step past the cut, so no backtrack
+      point is added for it. A guard that keeps a thread blocked records
+      no footprint, so the step that blocks a waiter never races with it.
+      The ROADMAP's first item ("DPOR drops histories") has the
+      measurements and the fix; until it lands, treat a [Dpor] verdict as
+      bug-finding evidence, not a proof.
     - {!Preemption_bounded}/{!Delay_bounded}: the incremental DFS with a
       schedule-cost bound ({!Engine.cost_model}): it delivers exactly the
       full DFS's runs of cost at most [bound], in the same (DFS) order,
@@ -131,7 +139,9 @@ val merge_stats : stats -> stats -> stats
 
 type strategy =
   | Dfs  (** the full incremental DFS: every schedule, no reduction *)
-  | Dpor  (** source-DPOR: complete, verdict-preserving reduction *)
+  | Dpor
+      (** source-DPOR: one run per trace of the dependence relation; not
+          yet history-complete (see above) *)
   | Preemption_bounded of { bound : int }
       (** at most [bound] preemptive context switches per run *)
   | Delay_bounded of { bound : int }

@@ -192,8 +192,8 @@ let fail pool e =
    the cap decision is surfaced as [domains_used] vs [domains_requested]
    in the stats. [CAL_EXPLORE_OVERSUBSCRIBE=1] lifts the cap: the
    determinism test suite uses it to genuinely exercise multi-domain
-   stealing and cache sharing even on boxes with fewer cores than the
-   requested domain count. *)
+   stealing even on boxes with fewer cores than the requested domain
+   count. *)
 let effective_domains requested =
   if requested <= 1 then 1
   else if Cal.Tuning.explore_oversubscribe () then requested

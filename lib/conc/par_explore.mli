@@ -30,7 +30,7 @@
     surfaced as [domains_used] vs [domains_requested] in the returned
     stats. Setting [CAL_EXPLORE_OVERSUBSCRIBE=1] lifts the cap, which the
     equivalence test suite uses to genuinely exercise multi-domain
-    stealing and verdict-cache sharing on any hardware. *)
+    stealing on any hardware. *)
 
 val effective_domains : int -> int
 (** [effective_domains requested] — the worker-domain count actually

@@ -16,7 +16,7 @@ type sampling = {
 
 type obligation =
   | Trace of { spec : Spec.t; view : View.t }
-  | History of { spec : Spec.t; checker : [ `Cal | `Lin ]; cache : bool option }
+  | History of { spec : Spec.t; checker : [ `Cal | `Lin ] }
   | Liveness of { window : int }
 
 type strategy =
@@ -86,16 +86,15 @@ let cap10 l = List.filteri (fun i _ -> i < 10) l
 
 (* Units are capped at 10 problems each and the concatenation re-capped:
    the first 10 problems in canonical delivery order, i.e. the sequential
-   report's problem list. A verdict cache's hits go into the stats. *)
-let report_of ?vc ~config (stats : Conc.Explore.stats) accs =
-  let cache_hits = Option.fold vc ~none:0 ~some:Verdict_cache.hits in
+   report's problem list. *)
+let report_of ~config (stats : Conc.Explore.stats) accs =
   {
     runs = Array.fold_left (fun n a -> n + a.a_runs) 0 accs;
     complete_runs = Array.fold_left (fun n a -> n + a.a_complete) 0 accs;
     problems =
       cap10 (List.concat_map (fun a -> List.rev a.a_problems) (Array.to_list accs));
     truncated = stats.truncated;
-    exploration = Some { stats with cache_hits };
+    exploration = Some stats;
     config;
   }
 
@@ -259,18 +258,6 @@ let history_check ~checker ~spec (outcome : Conc.Runner.outcome) =
       match Lin_checker.check ?crashed ~spec outcome.history with
       | Lin_checker.Linearizable _ -> Ok ()
       | Lin_checker.Not_linearizable { reason; _ } -> Error reason)
-
-(* The verdict is a function of the canonical history
-   ({!Cal.History.canonicalize}), of which threads the plan crashed (the
-   checker's crash-tolerant mode) and of which checker runs, so all three
-   go into the cache key: schedules that interleave the same operations
-   with the same concurrency structure share one checker run. *)
-let history_key ~checker (outcome : Conc.Runner.outcome) =
-  String.concat "|"
-    ((match checker with `Cal -> "cal" | `Lin -> "lin")
-    :: List.map string_of_int (crashed_tids outcome))
-  ^ "\n"
-  ^ History.canonical_key outcome.history
 
 (* ------------------------------------------------ liveness obligation -- *)
 
@@ -439,10 +426,8 @@ let pp_config ppf c =
     (match c.target with Program _ -> "program" | Durable _ -> "durable")
     (match c.obligation with
     | Trace _ -> "trace"
-    | History { checker; cache; _ } ->
-        (match checker with `Cal -> "history cal" | `Lin -> "history lin")
-        ^ Option.fold cache ~none:"" ~some:(fun on ->
-              if on then ", cache on" else ", cache off")
+    | History { checker = `Cal; _ } -> "history cal"
+    | History { checker = `Lin; _ } -> "history lin"
     | Liveness { window } -> Fmt.str "liveness window %d" window)
     (match c.search with
     | Exhaustive { strategy = s; domains; max_runs } ->
@@ -465,8 +450,8 @@ let pp_config ppf c =
 let invalid fmt = Fmt.kstr (fun m -> invalid_arg ("Obligations.check: " ^ m)) fmt
 
 (* The resolve_* helpers are the only readers of Tuning in this module,
-   and the CAL_EXPLORE_DOMAINS / CAL_EXPLORE_STRATEGY / CAL_VERDICT_CACHE
-   defaults are applied nowhere lower, so library callers of Conc.Explore
+   and the CAL_EXPLORE_DOMAINS / CAL_EXPLORE_STRATEGY defaults are applied
+   nowhere lower, so library callers of Conc.Explore
    are never surprised by them.
 
    An explicit strategy is used as given; a default one is replaced by
@@ -488,25 +473,6 @@ let resolve_strategy = function
 let resolve_domains ~domains ~max_runs =
   if max_runs <> None then 1
   else match domains with Some d -> max 1 d | None -> Tuning.explore_domains ()
-
-(* The verdict cache of a history check (absent: CAL_VERDICT_CACHE), with
-   CAL_VERDICT_CACHE_CAP's capacity. *)
-let resolve_cache cache =
-  if Option.value cache ~default:(Tuning.verdict_cache_default ()) then
-    Some (Verdict_cache.create ?capacity:(Tuning.verdict_cache_capacity ()) ())
-  else None
-
-(* The history check behind the verdict cache [vc] (its hits go into the
-   report), and the obligation with its cache setting resolved. *)
-let cached_history ~spec ~checker vc =
-  let check o =
-    match vc with
-    | None -> history_check ~checker ~spec o
-    | Some vc ->
-        Verdict_cache.find_or_compute vc ~key:(history_key ~checker o) (fun () ->
-            history_check ~checker ~spec o)
-  in
-  (check, History { spec; checker; cache = Some (vc <> None) })
 
 (* The fault, crash and liveness sweeps run the DFS, optionally
    preemption-bounded, whatever the environment says. *)
@@ -545,33 +511,30 @@ let check c =
            else None);
       }
   in
-  let resolved ?(obligation = c.obligation) strategy ~domains ~max_runs =
+  let resolved strategy ~domains ~max_runs =
     let search =
       Exhaustive { strategy = Explicit strategy; domains = Some domains; max_runs }
     in
-    { c with obligation; search; faults }
+    { c with search; faults }
   in
   (* fault-free, on any strategy *)
-  let fault_free ~setup strategy ~domains ~max_runs ?obligation ?vc check =
+  let fault_free ~setup strategy ~domains ~max_runs check =
     let strategy = resolve_strategy strategy
     and domains = resolve_domains ~domains ~max_runs in
     let stats, accs =
       Conc.Explore.exhaustive_collect ~strategy ~domains ~setup ~fuel ?max_runs
         ~init:new_acc ~f:(record check) ()
     in
-    report_of ?vc ~config:(resolved ?obligation strategy ~domains ~max_runs)
-      stats accs
+    report_of ~config:(resolved strategy ~domains ~max_runs) stats accs
   in
   match (c.search, c.target, c.obligation) with
   | Exhaustive e, Program setup, Trace { spec; view } when f.fault_bound = None ->
       fault_free ~setup e.strategy ~domains:e.domains ~max_runs:e.max_runs
         (check_outcome ~spec ~view)
-  | Exhaustive e, Program setup, History { spec; checker = `Cal; cache }
+  | Exhaustive e, Program setup, History { spec; checker = `Cal }
     when f.fault_bound = None ->
-      let vc = resolve_cache cache in
-      let check, obligation = cached_history ~spec ~checker:`Cal vc in
       fault_free ~setup e.strategy ~domains:e.domains ~max_runs:e.max_runs
-        ~obligation ?vc check
+        (history_check ~checker:`Cal ~spec)
   | Exhaustive { strategy; domains; max_runs }, Program setup, Trace { spec; view }
     ->
       let strategy = dfs_only strategy
@@ -598,25 +561,23 @@ let check c =
         stats
   | ( Exhaustive { strategy; domains = None; max_runs },
       Durable setup,
-      History { spec; checker; cache } ) ->
+      History { spec; checker } ) ->
       let strategy = dfs_only strategy in
-      let vc = resolve_cache cache in
-      let check, obligation = cached_history ~spec ~checker vc in
       let acc = new_acc () in
       let _plans, stats =
         Conc.Explore.exhaustive_with_crashes ?delay_factors:f.delay_factors
           ~setup ~fuel ?max_runs ?preemption_bound:(preemption_bound strategy)
           ?max_plans:f.max_plans ?max_crash_depth:faults.max_crash_depth
-          ?fault_bound:faults.fault_bound ~f:(record check acc) ()
+          ?fault_bound:faults.fault_bound
+          ~f:(record (history_check ~checker ~spec) acc)
+          ()
       in
-      report_of ?vc
-        ~config:(resolved ~obligation strategy ~domains:1 ~max_runs)
-        stats [| acc |]
+      report_of ~config:(resolved strategy ~domains:1 ~max_runs) stats [| acc |]
   | Sampled { sampling; shrink }, Program _, Trace { spec; view } ->
       sampled_report ~config:c ~sampling ~shrink (check_outcome ~spec ~view)
   | ( Sampled { sampling; shrink },
       Durable _,
-      History { spec; checker; cache = None } ) ->
+      History { spec; checker } ) ->
       sampled_report ~config:{ c with faults } ~sampling ~shrink (fun o ->
           Result.map_error
             (fun m ->
@@ -629,7 +590,8 @@ let check c =
 
 (* The exhaustive trace and black-box checks as functions of their old
    arguments, kept only because the repository benchmark
-   (perfbench/bench.ml) calls them. *)
+   (perfbench/bench.ml) calls them; for the same reason check_black_box
+   still accepts, and ignores, ?cache. *)
 let legacy ?domains ?strategy ?max_runs ?preemption_bound ~setup ~fuel
     obligation =
   let strategy =
@@ -648,15 +610,15 @@ let check_object ?domains ?strategy ~setup ~spec ~view ~fuel ?max_runs
   legacy ?domains ?strategy ?max_runs ?preemption_bound ~setup ~fuel
     (Trace { spec; view })
 
-let check_black_box ?domains ?strategy ?cache ~setup ~spec ~fuel ?max_runs
+let check_black_box ?domains ?strategy ?cache:_ ~setup ~spec ~fuel ?max_runs
     ?preemption_bound () =
   legacy ?domains ?strategy ?max_runs ?preemption_bound ~setup ~fuel
-    (History { spec; checker = `Cal; cache })
+    (History { spec; checker = `Cal })
 
 let ok r = r.problems = []
 
 let pp_exploration ppf (s : Conc.Explore.stats) =
-  Fmt.pf ppf " [nodes %d, replayed %d steps%s%s%s%s%s%s]" s.nodes
+  Fmt.pf ppf " [nodes %d, replayed %d steps%s%s%s%s%s]" s.nodes
     s.replayed_steps
     (if s.sleep_pruned > 0 then Fmt.str ", pruned %d sleep" s.sleep_pruned
      else "")
@@ -673,7 +635,6 @@ let pp_exploration ppf (s : Conc.Explore.stats) =
           else "")
          s.tasks_stolen
      else "")
-    (if s.cache_hits > 0 then Fmt.str ", %d cache hits" s.cache_hits else "")
     (if s.sampled_runs > 0 then
        Fmt.str ", sampled %d (%d violations, shrink %d candidates/%d removed)"
          s.sampled_runs s.violations_found s.shrink_candidates

@@ -30,8 +30,9 @@
       that parses ({!Conc.Explore.strategy_of_string}) to anything but
       [Dfs]. The fault, crash and liveness sweeps run the DFS (optionally
       preemption-bounded) and never read the variable. [Dpor] is the
-      verdict-preserving source-DPOR reduction; [Preemption_bounded]/
-      [Delay_bounded] are the bounded DFS — sound for bug-finding only.
+      source-DPOR reduction (not yet history-complete, see
+      {!Conc.Explore.strategy}); [Preemption_bounded]/[Delay_bounded]
+      are the bounded DFS — sound for bug-finding only.
       The report's [exploration] says [bounded = true] exactly when a
       bound cut an edge, so [bounded = false] means the check was
       exhaustive.
@@ -42,14 +43,10 @@
       (a shared run budget admits a scheduling-dependent run subset), and
       the liveness and crash sweeps are sequential by design (DESIGN
       §2.11), so they take no [domains].
-    - {b verdict cache}: absent means [CAL_VERDICT_CACHE]. Exhaustive
-      [History] checks memoize checker verdicts on the {e canonical}
-      history ({!Cal.History.canonicalize}), shared across worker domains
-      ({!Cal.Verdict_cache}), so schedules that interleave the same
-      operations with the same concurrency structure pay for one checker
-      run; hits surface as {!Conc.Explore.stats.cache_hits}. [Trace]
-      checks are never cached: their verdict also depends on the
-      auxiliary trace, which the canonical key does not cover. *)
+
+    Every delivered run is checked, none memoized: a memo keyed on the
+    canonical history ({!Cal.History.canonical_key}) would cost more per
+    run than the {!Cal.Cal_checker} call it skips. *)
 
 type problem = {
   schedule : Conc.Runner.schedule;
@@ -77,7 +74,6 @@ type obligation =
   | History of {
       spec : Cal.Spec.t;
       checker : [ `Cal | `Lin ];  (** [`Lin]: durable programs only *)
-      cache : bool option;  (** exhaustive search only *)
     }
       (** Definition 6: decide CAL — for a durable program durable CAL or
           durable linearizability — on the history alone, ignoring the
@@ -151,11 +147,11 @@ type report = {
   truncated : bool;
   exploration : Conc.Explore.stats option;
       (** cost counters of the exploration (nodes, replayed steps, DPOR
-          and cache counters), or of the sampling ([sampled_runs],
+          and parallel counters), or of the sampling ([sampled_runs],
           [violations_found], [shrink_*]); [None] for liveness reports *)
   config : config;
-      (** resolved: the strategy [Explicit], [domains] and [cache] set,
-          defaulted fault fields filled in *)
+      (** resolved: the strategy [Explicit], [domains] set, defaulted
+          fault fields filled in *)
 }
 
 val check : config -> report
@@ -170,8 +166,8 @@ val check : config -> report
       {!Conc.Fault.Crash_system} plan of
       {!Conc.Explore.exhaustive_with_crashes};
     - sampled: a plain program's [Trace] obligation, and a durable
-      program's uncached [History] obligation (its plans always draw
-      system crashes).
+      program's [History] obligation (its plans always draw system
+      crashes).
 
     Anything else raises [Invalid_argument], as do [delay_factors]
     without [fault_bound], [max_plans] outside an exhaustive fault, crash
@@ -230,7 +226,9 @@ val check_black_box :
   unit ->
   report
 (** The exhaustive [`Cal] [History] check, kept for the same reason and
-    with the same argument mapping as {!check_object}. *)
+    with the same argument mapping as {!check_object}. [?cache] is
+    accepted and ignored: no exhaustive check keeps a verdict cache, and
+    the argument stays only because [perfbench/bench.ml] passes it. *)
 
 val reconcile : Cal.History.t -> Cal.Ca_trace.t -> (Cal.History.t, string) result
 (** [reconcile h t] completes the (possibly incomplete) history [h] using
@@ -251,5 +249,5 @@ val ok : report -> bool
 val pp_report : Format.formatter -> report -> unit
 (** The verdict line, followed by the problems, if any. The verdict line
     names the resolved config in brackets: program kind, obligation,
-    search (strategy, domains and cache, or sampler, seed and budget),
+    search (strategy and domains, or sampler, seed and budget),
     fuel and fault space. *)

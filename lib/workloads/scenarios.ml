@@ -723,7 +723,7 @@ let config s =
 let durable_config d =
   {
     Verify.Obligations.target = Durable d.d_setup;
-    obligation = History { spec = d.d_spec; checker = `Cal; cache = None };
+    obligation = History { spec = d.d_spec; checker = `Cal };
     search = Verify.Obligations.exhaustive;
     fuel = d.d_fuel;
     faults =

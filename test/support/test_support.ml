@@ -71,11 +71,10 @@ let with_faults ?delay_factors ?max_plans ?max_crash_depth ?fault_bound
     (c : Verify.Obligations.config) =
   { c with faults = { fault_bound; delay_factors; max_plans; max_crash_depth } }
 
-let black_box_config ?strategy ?domains ?max_runs ?cache
-    (s : Workloads.Scenarios.t) =
+let black_box_config ?strategy ?domains ?max_runs (s : Workloads.Scenarios.t) =
   {
     (trace_config ?strategy ?domains ?max_runs s) with
-    obligation = History { spec = s.spec; checker = `Cal; cache };
+    obligation = History { spec = s.spec; checker = `Cal };
   }
 
 (* A preemption bound as a default strategy, like a scenario's [bound]. *)

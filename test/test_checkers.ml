@@ -276,8 +276,8 @@ let test_search_counts_pinned () =
   Alcotest.(check int) "memo_hits" 9_432 !memo;
   Alcotest.(check int) "drop_sets_tried" 9_528 !drops
 
-(* Bench B14's preamble histories: seeded exchanger histories of 2, 4 and
-   6 elements over 4 threads. Each is explained without backtracking, one
+(* Bench B1's fixtures: seeded exchanger histories of 2, 4 and 6 elements
+   over 4 threads. Each is explained without backtracking, one
    state per element, so a change of the k = 2 element enumeration order
    that makes the search backtrack fails here. *)
 let test_exchanger_search_pinned () =

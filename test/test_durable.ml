@@ -262,7 +262,7 @@ let test_durable_lin_mode () =
     Verify.Obligations.check
       {
         (bounded_durable s) with
-        obligation = History { spec = s.S.d_spec; checker = `Lin; cache = None };
+        obligation = History { spec = s.S.d_spec; checker = `Lin };
       }
   in
   check_bool "durable linearizability agrees" true (Verify.Obligations.ok r)
@@ -315,7 +315,7 @@ let test_exchanger_crash_abort () =
       {
         target = Durable setup;
         obligation =
-          History { spec = Spec_exchanger.spec (); checker = `Cal; cache = None };
+          History { spec = Spec_exchanger.spec (); checker = `Cal };
         search = Verify.Obligations.exhaustive;
         fuel = 60;
         faults = { Verify.Obligations.no_faults with max_crash_depth = Some 1 };

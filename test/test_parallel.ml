@@ -1,8 +1,7 @@
-(* Tests for multicore parallel exploration and the shared verdict cache:
-   every report — verdicts, witnesses, run counts — must be byte-identical
-   whatever the worker-domain count, the cache must change cost counters
-   only, and the first-failure witness of check_all must be the sequential
-   one even when workers race to it. *)
+(* Tests for multicore parallel exploration: every report — verdicts,
+   witnesses, run counts — must be byte-identical whatever the
+   worker-domain count, and the first-failure witness of check_all must be
+   the sequential one even when workers race to it. *)
 
 open Cal
 open Conc
@@ -14,15 +13,15 @@ module O = Verify.Obligations
    oversubscribing one hardware thread only adds GC synchronization. These
    tests are about cross-domain determinism, so they opt out: with the
    override, [~domains:4] really spawns four workers even on a one-core CI
-   box, and the splitting/stealing/cache-sharing paths genuinely run. *)
+   box, and the splitting/stealing paths genuinely run. *)
 let () = Unix.putenv "CAL_EXPLORE_OVERSUBSCRIBE" "1"
 
 let t name f = Alcotest.test_case name `Quick f
 let domain_counts = [ 1; 2; 4 ]
 
 (* Everything in a report that must be domain-count-invariant. Exploration
-   cost counters (nodes, steals, cache hits) are excluded: two workers can
-   benignly race to compute the same cache miss. *)
+   cost counters (nodes, replayed steps, steals) are excluded: they depend
+   on where the tree was split. *)
 let fingerprint (r : O.report) =
   ( r.runs,
     r.complete_runs,
@@ -100,36 +99,6 @@ let test_positive_scenarios_domain_invariant () =
             (O.ok r))
         reports)
     [ (S.exchanger_pair (), 12); (S.elim_stack_push_pop ~k:1 (), 10) ]
-
-(* The verdict cache may only change cost counters, never the report; it
-   must actually hit on a workload with canonical collisions; and with
-   several domains the one table is shared — hits still accrue. *)
-let test_cache_transparent_and_effective () =
-  let s = S.elim_stack_push_pop ~k:1 () in
-  let run ~domains ~cache =
-    O.check
-      {
-        (black_box_config ~strategy:(own_strategy s) ~domains ~cache s) with
-        fuel = 10;
-      }
-  in
-  let off = run ~domains:1 ~cache:false in
-  let hits (r : O.report) =
-    match r.exploration with
-    | Some e -> e.Explore.cache_hits
-    | None -> 0
-  in
-  Alcotest.(check int) "cache off: 0 hits" 0 (hits off);
-  List.iter
-    (fun domains ->
-      let on = run ~domains ~cache:true in
-      check_bool
-        (Fmt.str "cached report matches uncached at domains=%d" domains)
-        true
-        (fingerprint on = fingerprint off);
-      check_bool (Fmt.str "cache hits at domains=%d" domains) true
-        (hits on > 0))
-    domain_counts
 
 (* check_all short-circuits on the first failing outcome; with workers
    racing, the witness must still be the sequential engine's (the
@@ -215,31 +184,6 @@ let test_stealing_happens () =
             true
             (e.Explore.tasks_stolen > 0))
     [ 2; 4 ]
-
-(* The shared verdict cache grows a per-domain front table when unbounded;
-   a rejection-heavy multi-domain sweep must still produce the sequential
-   report, with the front-table hits accounted for. *)
-let test_cache_per_domain_deterministic () =
-  let s = S.faulty_exchanger () in
-  let run ~domains ~cache =
-    O.check (black_box_config ~strategy:(own_strategy s) ~domains ~cache s)
-  in
-  let off = run ~domains:1 ~cache:false in
-  List.iter
-    (fun domains ->
-      let on = run ~domains ~cache:true in
-      check_bool
-        (Fmt.str "cached faulty report matches uncached at domains=%d" domains)
-        true
-        (fingerprint on = fingerprint off);
-      match on.exploration with
-      | None -> Alcotest.fail "exhaustive check lost its exploration stats"
-      | Some e ->
-          check_bool
-            (Fmt.str "cache hits accrue at domains=%d" domains)
-            true
-            (e.Explore.cache_hits > 0))
-    domain_counts
 
 (* A first-failure search that aborts its tasks must still report the
    failing task's real partial counters — the old engine returned
@@ -378,10 +322,10 @@ let test_bounded_domain_invariant () =
 
 (* A report names the config it ran with, defaults resolved: the
    strategy (the environment's when the config's is a default, the
-   config's own when explicit), the domain count and the cache setting. *)
+   config's own when explicit) and the domain count. *)
 let test_report_names_resolved_config () =
   let s = S.exchanger_pair () in
-  let vars = [ "CAL_EXPLORE_STRATEGY"; "CAL_EXPLORE_DOMAINS"; "CAL_VERDICT_CACHE" ] in
+  let vars = [ "CAL_EXPLORE_STRATEGY"; "CAL_EXPLORE_DOMAINS" ] in
   let ambient = List.map (fun v -> Option.value ~default:"" (Sys.getenv_opt v)) vars in
   let with_env values f =
     List.iter2 Unix.putenv vars values;
@@ -398,12 +342,12 @@ let test_report_names_resolved_config () =
     in
     check_bool (Fmt.str "%S names %S" line needle) true (go 0)
   in
-  with_env [ ""; "3"; "1" ] (fun () ->
+  with_env [ ""; "3" ] (fun () ->
       let line = printed () in
-      List.iter (has line) [ "exhaustive dfs,"; "3 domains"; "cache on" ]);
-  with_env [ "dpor"; ""; "" ] (fun () ->
+      List.iter (has line) [ "exhaustive dfs,"; "3 domains" ]);
+  with_env [ "dpor"; "" ] (fun () ->
       let line = printed () in
-      List.iter (has line) [ "exhaustive dpor,"; "1 domain,"; "cache off" ];
+      List.iter (has line) [ "exhaustive dpor,"; "1 domain," ];
       let line =
         printed ~strategy:(Explicit (Preemption_bounded { bound = 2 })) ()
       in
@@ -467,16 +411,12 @@ let () =
             test_faulty_scenarios_domain_invariant;
           t "positive scenarios: reports are domain-count-invariant"
             test_positive_scenarios_domain_invariant;
-          t "verdict cache is transparent and effective"
-            test_cache_transparent_and_effective;
           t "check_all witness is deterministic across domains"
             test_check_all_witness_deterministic;
           t "durable single-plan exploration is domain-count-invariant"
             test_durable_single_plan_domain_invariant;
           t "work stealing actually happens on an imbalanced tree"
             test_stealing_happens;
-          t "per-domain cache front is deterministic on faulty sweeps"
-            test_cache_per_domain_deterministic;
           t "first-failure search keeps the failing task's partial stats"
             test_first_failure_partial_stats;
           t "requested domains spawn under the oversubscription override"

@@ -100,8 +100,8 @@ let test_check_rejects_unserved () =
   let s = Workloads.Scenarios.exchanger_pair () in
   let d = Workloads.Scenarios.stack_crash_recovery () in
   let trace = trace_config s and durable = Workloads.Scenarios.durable_config d in
-  let history ?cache checker (c : O.config) =
-    { c with obligation = History { spec = s.spec; checker; cache } }
+  let history checker (c : O.config) =
+    { c with obligation = History { spec = s.spec; checker } }
   in
   let exhaustive ?(strategy = O.Default Explore.Dfs) ?domains c =
     { c with O.search = Exhaustive { strategy; domains; max_runs = None } }
@@ -129,8 +129,6 @@ let test_check_rejects_unserved () =
       ("lin checker on a plain program", history `Lin trace);
       ("black box with faults", with_faults ~fault_bound:1 (history `Cal trace));
       ("black box under sampling", history `Cal { trace with search = sampled 1 });
-      ( "cache on a sampled durable check",
-        history ~cache:true `Cal { durable with search = sampled 1 } );
       ("crash depth on a plain program", with_faults ~max_crash_depth:1 trace);
       ("max_plans without a plan sweep", with_faults ~max_plans:4 trace);
       ( "max_plans under sampling",
